@@ -17,10 +17,10 @@ from .errors import (DomainError, NoConvergenceError, NonFiniteError,
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
                        gaussian_average, split_rule, truncated_scale_moments)
 from .replica import (OrderParams, RescaledParams, SaddleSolution,
-                      branch_switch_pi, solve_collapsed, solve_saddle, sweep)
+                      branch_switch_pi, solve_saddle, sweep)
 from .observables import (ObservableSet, active_fraction,
                           conditional_consumption, goods_density,
-                          jump_decomposition, observable_set, scale_density,
+                          observable_set, scale_density,
                           utility_per_final_good)
 from .critical import (CriticalPoint, bracket_B, bracket_B_grad,
                        critical_line_sweep, solve_critical_pi)

@@ -13,9 +13,9 @@ validate       quick self-check suite; nonzero exit on any failure
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
 byte-identical apart from the timestamp line.  Defaults can be loaded
-from a plain ``key=value`` file via ``--config``; the worker count for
-grid-parallel subcommands defaults to the RANDECON_WORKERS environment
-variable.
+from a plain ``key=value`` file via ``--config``.  lp-fraction and
+pca-probe solve their pi grids in a thread pool of ``--workers`` threads,
+defaulting to the RANDECON_WORKERS environment variable.
 """
 from __future__ import annotations
 
@@ -40,12 +40,6 @@ from .replica import (SOLUTION_CSV_COLUMNS, solution_csv_rows, solve_saddle,
                       sweep)
 
 _EXIT_OK, _EXIT_PARTIAL, _EXIT_CONFIG = 0, 1, 2
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return int(os.environ.get("RANDECON_WORKERS", "1"))
 
 
 def _emit(path, header_meta, columns, rows, fmt):
@@ -148,15 +142,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_critical_line(args):
-    n_grid = _grid(args)
-    workers = _workers(args)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(
-                lambda n: critical_line_sweep([n], args.eps, args.tol)[0],
-                n_grid))
-    else:
-        points = critical_line_sweep(n_grid, args.eps, args.tol)
+    points = critical_line_sweep(_grid(args), args.eps, args.tol)
     cols = ("n", "eps", "pi_c", "xi", "residual")
     rows = [(p.n, p.eps, p.pi_c, p.xi, p.residual) for p in points]
     failures = sum(1 for p in points if not np.isfinite(p.pi_c))
@@ -182,7 +168,7 @@ def _cmd_finite(args):
 def _run_pi_grid(args, one_point):
     """Shared pi-grid driver for lp-fraction and pca-probe."""
     pis = _grid(args) if args.points > 1 or args.start is not None else [args.pi]
-    workers = _workers(args)
+    workers = args.workers or int(os.environ.get("RANDECON_WORKERS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return pis, list(pool.map(one_point, pis))
@@ -219,6 +205,7 @@ def _cmd_pca_probe(args):
 
 def _cmd_validate(args):
     """Quick self-check: a handful of cheap cross-module invariants."""
+    from .critical import solve_critical_pi
     from .ensemble import sample_economy
     from .finite import certify_equilibrium, solve_equilibrium
     from .gaussian import gauss_hermite_rule, gauss_moment_I
@@ -247,6 +234,14 @@ def _cmd_validate(args):
     check("mean availability identity",
           abs(obs.x_mean - (params.pi - params.n * params.eps * obs.s_mean))
           < 1e-6)
+    # phase oracle: the saddle solver's branch against the analytic pi_c
+    for n in (0.5, 1.0, 2.0):
+        pi_c = solve_critical_pi(n, params.eps).pi_c
+        for pi in (pi_c + 0.1, max(pi_c - 0.1, 0.0)):
+            want = "industrial" if pi > pi_c else "collapsed"
+            got = sweep([params.with_(n=n, pi=pi)])[0].branch
+            check(f"{want} at (n={n:g}, pi={pi:.4f}), pi_c = {pi_c:.4f}",
+                  got == want)
     econ = sample_economy(params, 50, 4242)
     eq = solve_equilibrium(econ)
     certs = certify_equilibrium(econ, eq)
@@ -274,9 +269,13 @@ def _add_io(sub):
                      help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--config", default=None,
                      help="key=value file with flag defaults")
+
+
+def _add_workers(sub):
+    sub.add_argument("--workers", type=int, default=None,
+                     help="threads for the pi grid (default: $RANDECON_WORKERS or 1)")
 
 
 def _add_grid(sub):
@@ -327,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_grid(p)
     _add_io(p)
+    _add_workers(p)
     p.set_defaults(func=_cmd_lp_fraction)
 
     p = subs.add_parser("pca-probe", help="feasible-set elongation probe")
@@ -337,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_grid(p)
     _add_io(p)
+    _add_workers(p)
     p.set_defaults(func=_cmd_pca_probe)
 
     p = subs.add_parser("validate", help="quick invariant self-checks")

@@ -16,10 +16,6 @@ class NonFiniteError(RandeconError, ArithmeticError):
 class NoConvergenceError(RandeconError, RuntimeError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NoRootError(RandeconError, RuntimeError):
     """A root-finder found no root in the admissible interval."""

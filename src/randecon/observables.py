@@ -108,19 +108,10 @@ def conditional_consumption(op, params: EnsembleParams,
     out = []
     for x0 in (1, 0):
         out.append(gaussian_average(
-            lambda t: x_star(t, x0, 1, op, params.n, params.utility), rule))
+            lambda t: x_star(t, x0, 1, op, params.n), rule))
     for x0 in (1, 0):
         out.append(w * gauss_moment_I(1, (x0 - op.kappa) / w))
     return tuple(float(v) for v in out)
-
-
-def jump_decomposition(op, params: EnsembleParams,
-                       rule: QuadratureRule = DEFAULT_RULE):
-    """(X_C, X_W): aggregate consumption and waste per good."""
-    x11, x01, x10, x00 = conditional_consumption(op, params, rule)
-    xc = params.f * (params.pi * x11 + (1.0 - params.pi) * x01)
-    xw = (1.0 - params.f) * (params.pi * x10 + (1.0 - params.pi) * x00)
-    return float(xc), float(xw)
 
 
 def utility_per_final_good(op, params: EnsembleParams,
@@ -135,8 +126,7 @@ def utility_per_final_good(op, params: EnsembleParams,
     vals = []
     for x0 in (1, 0):
         vals.append(gaussian_average(
-            lambda t: np.log(x_star(t, x0, 1, op, params.n, params.utility)),
-            rule))
+            lambda t: np.log(x_star(t, x0, 1, op, params.n)), rule))
     return float(params.pi * vals[0] + (1.0 - params.pi) * vals[1])
 
 

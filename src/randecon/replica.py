@@ -23,13 +23,18 @@ delta = n phi, holds only at the branch switch pi_s(n, eps).
 
 * industrial: a root with chi > 0;
 * collapsed: pi below the switch, found by solving the six equations at
-  chi = 0 with pi as the unknown; the chi = 0 rescaled state is reported.
+  chi = 0 with pi as the unknown.  Below the switch every production
+  process shuts down (s* = 0), and that state is reported as
+  TRIVIAL_COLLAPSED.
 
-Roots are found by Powell's hybrid method in coordinates scaled by eps
-(plain damped fixed-point iteration diverges: the fixed-point map has an
-expanding eigendirection along (Omega, kappa, chi)).  A solve that
-establishes neither label raises NoConvergenceError; sweeps use
-warm-started continuation and record such points as "failed".
+Every root is found by Powell's hybrid method on this one system, in
+coordinates scaled by eps (plain damped fixed-point iteration diverges:
+the fixed-point map has an expanding eigendirection along
+(Omega, kappa, chi)).  A solve that establishes neither label raises
+NoConvergenceError; sweeps use warm-started continuation and record such
+points as "failed".  saddle_residual and rescaled_residual state the
+chi > 0 and chi = 0 equations in the original variables; the solver uses
+saddle_residual only to accept an industrial root.
 """
 from __future__ import annotations
 
@@ -61,17 +66,15 @@ class OrderParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.Omega, self.kappa, self.p, self.sigma, self.chi, self.chi_hat])
 
-    @staticmethod
-    def from_array(v) -> "OrderParams":
-        return OrderParams(*(float(x) for x in v))
-
 
 @dataclass(frozen=True)
 class RescaledParams:
-    """Order parameters of the collapsed (chi = 0) branch.
+    """Order parameters at chi = 0 in the rescaled coordinates.
 
-    ell = p chi, gamma = sigma chi, delta = chi_hat chi stay finite as
-    chi -> 0 while p, sigma, chi_hat themselves diverge.
+    ell = p chi, gamma = sigma chi and delta = chi_hat chi stay finite as
+    chi -> 0 while p, sigma and chi_hat themselves diverge.  The collapsed
+    phase is reported as the one state TRIVIAL_COLLAPSED; other values are
+    points at which rescaled_residual is evaluated.
     """
 
     Omega: float
@@ -83,10 +86,6 @@ class RescaledParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.Omega, self.kappa, self.ell, self.gamma, self.delta])
 
-    @staticmethod
-    def from_array(v) -> "RescaledParams":
-        return RescaledParams(*(float(x) for x in v))
-
 
 @dataclass(frozen=True)
 class SaddleSolution:
@@ -97,47 +96,24 @@ class SaddleSolution:
     iterations: int
 
 
-def x_star(t, x0: float, k: float, op: OrderParams, n: float, utility: str = "log"):
+def x_star(t, x0: float, k: float, op: OrderParams, n: float):
     """Representative-good optimum for a standard-normal draw t.
 
-    For k = 1 and chi > 0 the log-utility closed form is used unless a
-    different utility is requested, in which case the defining relation
-    k chi u'(x) = x - a is solved numerically (bracketed, tolerance 1e-12).
-    For k = 0 or chi = 0 the clamp a Theta(a) applies regardless of u.
+    For k = 1 and chi > 0 this is the log-utility closed form
+    x* = (a + sqrt(a^2 + 4 chi))/2 of chi u'(x) = x - a; for k = 0 or
+    chi = 0 it is the clamp a Theta(a).
     """
-    out = _x_star_values(t, x0, k, op.chi, op.kappa, n * op.Omega, utility)
+    a = _shifted_gap(np.asarray(t, dtype=float), x0, op.kappa, n * op.Omega)
+    if k == 0 or op.chi == 0.0:
+        out = np.maximum(a, 0.0)
+    else:
+        out = 0.5 * (a + np.sqrt(a * a + 4.0 * op.chi))
     return float(out) if np.ndim(t) == 0 else out
 
 
 def _shifted_gap(t, x0, kappa, n_omega):
     """a = x0 - kappa - sqrt(n Omega) t."""
     return x0 - kappa - np.sqrt(n_omega) * t
-
-
-def _x_star_values(t, x0, k, chi, kappa, n_omega, utility="log"):
-    a = _shifted_gap(np.asarray(t, dtype=float), x0, kappa, n_omega)
-    if k == 0 or chi == 0.0:
-        return np.maximum(a, 0.0)
-    if utility == "log":
-        return 0.5 * (a + np.sqrt(a * a + 4.0 * chi))
-    return _x_star_generic(a, chi, utility)
-
-
-def _x_star_generic(a, chi, utility):
-    """Solve chi u'(x) = x - a for x > 0 by bracketed root-finding."""
-    uprime = _UPRIMES[utility]
-    out = np.empty_like(a)
-    for idx, ai in np.ndenumerate(a):
-        lo = max(ai, 0.0) + 1e-300
-        hi = max(ai, 0.0) + 1.0
-        while hi - ai - chi * uprime(hi) < 0:
-            hi *= 2.0
-        out[idx] = optimize.brentq(lambda x: x - ai - chi * uprime(x), lo, hi,
-                                   xtol=1e-14, rtol=1e-12)
-    return out
-
-
-_UPRIMES = {"log": lambda x: 1.0 / x}
 
 
 def _script_I(x0: float, kappa: float, n_omega: float):
@@ -286,7 +262,9 @@ _START_SCALE = 0.3
 #: where the root is continued from when no start reaches it directly:
 #: the default point of the CLI, which the first start reaches at eps 0.1
 #: and 0.01.  pi_c(n) falls with n, so the straight line in (log n, pi)
-#: from it to a point above pi_c(n) stays above the critical line.
+#: from it to a point above pi_c(n) stays above the critical line.  When
+#: no start gives the chi = 0 switch either, the branch is walked down in
+#: chi from the root continued to (n, 0.65).
 _ANCHOR = (2.0, 0.65)
 
 #: the walk down the branch in chi: step factor, jump to chi = 0 below
@@ -422,101 +400,30 @@ def _solution(params, branch, op, norm, evals):
                           iterations=evals)
 
 
-def _ls_solve(v0, residual, positive_mask, tol, max_iter):
-    """Trust-region least squares on the residual, positive parameters in log.
-
-    Returns (v, residual_norm, n_evaluations), counting every evaluation.
-    The log transform keeps the search inside the open domain;
-    out-of-domain evaluations (negative radicand) are penalized so the
-    trust region backs off.
-    """
-    evals = 0
-
-    def to_v(z):
-        v = np.array(z, dtype=float)
-        v[positive_mask] = np.exp(np.clip(v[positive_mask], -700.0, 700.0))
-        return v
-
-    def fun(z):
-        nonlocal evals
-        evals += 1
-        try:
-            return residual(to_v(z))
-        except (DomainError, NonFiniteError):
-            return np.full(positive_mask.size, 1e6)
-
-    z0 = np.array(v0, dtype=float)
-    if np.any(z0[positive_mask] <= 0):
-        return np.array(v0, dtype=float), np.inf, 0
-    z0[positive_mask] = np.log(z0[positive_mask])
-    sol = optimize.least_squares(fun, z0, xtol=3e-16, ftol=3e-16, gtol=1e-14,
-                                 max_nfev=max_iter)
-    v = to_v(sol.x)
-    try:
-        norm = float(np.linalg.norm(residual(v)))
-    except (DomainError, NonFiniteError):
-        norm = np.inf
-    return v, norm, evals + 1
-
-
-_POS_COL = np.array([True, False, False, True, True])          # Omega, gamma, delta
-
-_COLD_STARTS_COLLAPSED = (
-    RescaledParams(Omega=0.3, kappa=0.5, ell=0.3, gamma=0.3, delta=0.5),
-    RescaledParams(Omega=0.05, kappa=0.2, ell=0.1, gamma=0.1, delta=0.8),
-    RescaledParams(Omega=1.0, kappa=1.0, ell=0.5, gamma=1.0, delta=0.3),
-)
-
-
 #: the collapsed s* = 0 state: all rescaled parameters vanish; delta is
 #: scale-indeterminate in that limit and reported as NaN.
 TRIVIAL_COLLAPSED = RescaledParams(Omega=0.0, kappa=0.0, ell=0.0, gamma=0.0,
                                    delta=float("nan"))
 
 
-def solve_collapsed(params: EnsembleParams, init: Optional[RescaledParams] = None,
-                    tol: float = 1e-10, max_iter: int = 150) -> SaddleSolution:
-    """Solve the chi = 0 rescaled system directly.
-
-    Near the critical line this yields the nontrivial chi -> 0 limit of the
-    industrial branch (the state entering the jump decomposition); deeper in
-    the collapsed phase only the trivial s* = 0 state exists.  ``iterations``
-    counts every rescaled_residual evaluation.
-    """
-    residual = lambda v: rescaled_residual(RescaledParams.from_array(v), params)
-    inits = ([init] if init is not None else []) + list(_COLD_STARTS_COLLAPSED)
-    evals = 0
-    for guess in inits:
-        v, norm, its = _ls_solve(guess.as_array(), residual, _POS_COL, tol, max_iter)
-        evals += its
-        # reject the degenerate corner (all parameters -> 0): that limit is
-        # the trivial state, represented exactly below
-        if norm <= tol and min(v[0], v[3], v[4]) > 1e-8:
-            return SaddleSolution(params=params, branch="collapsed",
-                                  op=RescaledParams.from_array(v),
-                                  residual_norm=norm, iterations=evals)
-    # deep in the collapsed phase the rescaled system has only the trivial
-    # scaling solution; it satisfies the equations exactly in the limit
-    return SaddleSolution(params=params, branch="collapsed", op=TRIVIAL_COLLAPSED,
-                          residual_norm=0.0, iterations=evals)
-
-
-def solve_saddle(params: EnsembleParams, init: Optional[Union[OrderParams, RescaledParams]] = None,
+def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
                  rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10,
                  max_iter: int = 150) -> SaddleSolution:
     """Solve the saddle-point equations at one parameter point.
 
-    The regular system (see regular_residual) is solved from ``init`` when
-    it is an OrderParams, then from the two cold starts.  A root with
-    chi > 0, <s*> > 0 and saddle_residual norm <= tol is labelled
-    "industrial".  Failing that, the six equations are solved at chi = 0
-    with pi as the unknown, from the cold starts: this is the branch
-    switch pi_s.  When pi lies below it the point is labelled "collapsed"
-    and its chi = 0 rescaled state comes from solve_collapsed (started from
-    ``init`` when that is a RescaledParams).  Otherwise the root at
-    (n, pi) = (2, 0.65) is continued to the requested point.  ``max_iter``
-    is the budget of residual evaluations of each root solve;
-    ``iterations`` counts the evaluations of all of them.
+    The regular system (see regular_residual) is solved from ``init``,
+    then from the two cold starts.  A root with chi > 0, <s*> > 0 and
+    saddle_residual norm <= tol is labelled "industrial".  Failing that,
+    the six equations are solved at chi = 0 with pi as the unknown, from
+    the cold starts: this is the branch switch pi_s.  When pi lies below
+    it the point is labelled "collapsed" and its state is
+    TRIVIAL_COLLAPSED with residual 0.  Otherwise the root at
+    (n, pi) = (2, 0.65) is continued to the requested point.  When that
+    fails too and no cold start gave the switch, the root continued to
+    (n, 0.65) is walked down in chi to chi = 0 (as in branch_switch_pi),
+    and pi below that switch is "collapsed".  ``max_iter`` is the budget
+    of residual evaluations of each root solve; ``iterations`` counts the
+    evaluations of all of them.
 
     Raises NoConvergenceError when neither label is established: a point
     is never called collapsed for want of a root.
@@ -526,7 +433,7 @@ def solve_saddle(params: EnsembleParams, init: Optional[Union[OrderParams, Resca
     search = _Search(params, rule, tol, max_iter)
     n, pi = params.n, params.pi
     starts = search.starts()
-    warm = [search.to_z(_regular_coords(init))] if isinstance(init, OrderParams) else []
+    warm = [] if init is None else [search.to_z(_regular_coords(init))]
     for z0 in warm + starts:
         found = search.industrial(z0, n, pi)
         if found is not None:
@@ -536,16 +443,19 @@ def solve_saddle(params: EnsembleParams, init: Optional[Union[OrderParams, Resca
         if switch is not None:
             break
     if switch is not None and pi < switch[1]:
-        sol = solve_collapsed(params, init=init if isinstance(init, RescaledParams) else None,
-                              tol=tol, max_iter=max_iter)
-        return _solution(params, "collapsed", sol.op, sol.residual_norm,
-                         search.evals + sol.iterations)
+        return _solution(params, "collapsed", TRIVIAL_COLLAPSED, 0.0, search.evals)
     for z0 in starts:
         anchor = search.industrial(z0, *_ANCHOR)
         if anchor is not None:
             found = search.along(anchor[0], _ANCHOR, (n, pi))
             if found is not None:
                 return _solution(params, "industrial", *found[1:], search.evals)
+            if switch is None:
+                mid = search.along(anchor[0], _ANCHOR, (n, _ANCHOR[1]))
+                switch = None if mid is None else search.switch(mid[0], _ANCHOR[1])
+                if switch is not None and pi < switch[1]:
+                    return _solution(params, "collapsed", TRIVIAL_COLLAPSED, 0.0,
+                                     search.evals)
             break
     raise NoConvergenceError(
         f"no root at {params} after {search.evals} residual evaluations"
@@ -553,18 +463,15 @@ def solve_saddle(params: EnsembleParams, init: Optional[Union[OrderParams, Resca
 
 
 def branch_switch_pi(n: float, eps: float, f: float = 0.5, pi_start: float = 0.95,
-                     rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10,
-                     resolution: float = 1e-4) -> float:
+                     rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10) -> float:
     """The pi at which the industrial branch reaches chi = 0, at fixed (n, eps).
 
     The industrial root at pi_start is followed down in chi with pi as the
     unknown (the system bordered by pi), and the six regular equations are
     finally solved at chi = 0 for (Omega, kappa, ell, gamma, delta, pi).
     At chi = 0 the M averages take their closed forms, so the switch is
-    independent of f.  ``resolution`` is accepted for compatibility and
-    unused: the switch is solved for, not bracketed.  Raises
-    NoConvergenceError when pi_start has no industrial root or the walk
-    does not reach chi = 0.
+    independent of f.  Raises NoConvergenceError when pi_start has no
+    industrial root or the walk does not reach chi = 0.
     """
     params = EnsembleParams(n=n, pi=pi_start, f=f, eps=eps)
     sol = solve_saddle(params, rule=rule, tol=tol)

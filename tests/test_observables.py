@@ -5,8 +5,7 @@ from scipy.integrate import quad
 from randecon.ensemble import EnsembleParams
 from randecon.observables import (ObservableSet, active_fraction,
                                   conditional_consumption, goods_atom,
-                                  goods_density, jump_decomposition,
-                                  mean_scale, observable_csv_row,
+                                  goods_density, mean_scale, observable_csv_row,
                                   observable_set, scale_density,
                                   utility_per_final_good)
 from randecon.replica import OrderParams, RescaledParams, solve_saddle
@@ -143,10 +142,7 @@ class TestCollapsedBranch:
 
 
 class TestJumpDecomposition:
-    def test_consistency(self, sol, obs):
-        xc, xw = jump_decomposition(sol.op, PARAMS)
-        assert xc == pytest.approx(obs.consumption, abs=1e-12)
-        assert xw == pytest.approx(obs.waste, abs=1e-12)
+    def test_consistency(self, obs):
         # dX = dXC + dXW with dX = n eps <s*>
         d_x = PARAMS.n * PARAMS.eps * obs.s_mean
         d_xc = PARAMS.f * (PARAMS.pi * (1 - obs.x11)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import quad
 
 from randecon import replica
@@ -45,13 +46,22 @@ class TestXStar:
                 a = x0 - self.OP.kappa - np.sqrt(self.OP.Omega) * t
                 assert self.OP.chi / xs == pytest.approx(xs - a, abs=1e-12)
 
+    @staticmethod
+    def bracketed_root(a, chi, uprime):
+        """Solve chi u'(x) = x - a for x > 0 by bracketed root-finding."""
+        lo = max(a, 0.0) + 1e-300
+        hi = max(a, 0.0) + 1.0
+        while hi - a - chi * uprime(hi) < 0:
+            hi *= 2.0
+        return optimize.brentq(lambda x: x - a - chi * uprime(x), lo, hi,
+                               xtol=1e-14, rtol=1e-12)
+
     def test_generic_utility_path_matches_log(self):
         rng = np.random.default_rng(4)
         for t in rng.normal(size=10):
-            closed = x_star(t, 1, 1, self.OP, n=2.0, utility="log")
+            closed = x_star(t, 1, 1, self.OP, n=2.0)
             a = 1 - self.OP.kappa - np.sqrt(2.0 * self.OP.Omega) * t
-            from randecon.replica import _x_star_generic
-            generic = _x_star_generic(np.array([a]), self.OP.chi, "log")[0]
+            generic = self.bracketed_root(a, self.OP.chi, lambda x: 1.0 / x)
             assert generic == pytest.approx(closed, abs=1e-10)
 
 
@@ -148,12 +158,14 @@ class TestSaddleSolve:
         np.testing.assert_allclose(a.op.as_array(), b.op.as_array(), atol=1e-8)
 
     def test_collapsed_sentinel_shape(self):
-        # the chi=0 system has only the all-zero corner solution in the
-        # collapsed phase; the sentinel encodes it with residual zero
-        sol = solve_saddle(EnsembleParams(n=1.0, pi=0.31, f=0.5, eps=0.1))
-        assert sol.branch == "collapsed"
-        assert sol.op.Omega == 0.0 and sol.op.ell == 0.0 and sol.op.gamma == 0.0
-        assert sol.residual_norm == 0.0
+        # below the switch every process shuts down; the sentinel encodes
+        # that state with residual zero, near the line and deep below it
+        pi_c = solve_critical_pi(1.0, 0.1).pi_c
+        for pi in (0.31, pi_c - 1e-3, pi_c - 1e-2, pi_c - 0.1):
+            sol = solve_saddle(EnsembleParams(n=1.0, pi=pi, f=0.5, eps=0.1))
+            assert sol.branch == "collapsed"
+            assert sol.op is replica.TRIVIAL_COLLAPSED
+            assert sol.residual_norm == 0.0
 
     def test_rescaled_residual_definition(self):
         # independent recomputation of the five chi=0 residuals
@@ -267,6 +279,18 @@ class TestPhaseLabels:
                     wrong.append((n, pi, sol.branch, pi_c))
         assert not wrong
 
+    # neither cold start settles the chi = 0 switch at these points, nor
+    # is the anchor continued to them: the switch comes from the walk down
+    # in chi from (n, 0.65)
+    @pytest.mark.parametrize("n,pi", [(1.0, 0.18), (1.5, 0.07),
+                                      (1.849206349206349, 0.05),
+                                      (1.972222222222222, 0.05),
+                                      (4.0, 0.0), (6.0, 0.0), (8.0, 0.002)])
+    def test_collapsed_where_cold_switch_fails(self, n, pi):
+        assert pi < solve_critical_pi(n, 0.1).pi_c
+        sol = solve_saddle(EnsembleParams(n=n, pi=pi, f=0.5, eps=0.1))
+        assert sol.branch == "collapsed"
+
     @pytest.mark.parametrize("n,pi_start", [(0.5, 0.70), (1.0, 0.45), (2.0, 0.20)])
     def test_branch_switch_on_critical_line(self, n, pi_start):
         switch = branch_switch_pi(n, 0.1, pi_start=pi_start)
@@ -284,7 +308,8 @@ class TestBudget:
                     tol=1e-30)[0]
         assert sol.branch == "failed" and sol.op is None
 
-    def test_iterations_count_every_evaluation(self, monkeypatch):
+    @staticmethod
+    def count_regular(monkeypatch):
         calls = []
         inner = replica._regular
 
@@ -293,7 +318,17 @@ class TestBudget:
             return inner(*args)
 
         monkeypatch.setattr(replica, "_regular", counted)
+        return calls
+
+    def test_iterations_count_every_evaluation(self, monkeypatch):
+        calls = self.count_regular(monkeypatch)
         # the first start misses here, so the count spans two solves
         sol = solve_saddle(EnsembleParams(n=6.0, pi=0.35, f=0.5, eps=0.01))
         assert sol.branch == "industrial"
         assert sol.iterations == len(calls) > 150
+
+    def test_collapsed_iterations_are_the_search_evaluations(self, monkeypatch):
+        calls = self.count_regular(monkeypatch)
+        sol = solve_saddle(EnsembleParams(n=1.0, pi=0.2, f=0.5, eps=0.1))
+        assert sol.branch == "collapsed"
+        assert sol.iterations == len(calls) > 0
