@@ -22,8 +22,8 @@ econ = sample_economy(PARAMS, C, seed=4242)
 print(f"one draw: C = {econ.C} goods, N = {econ.N} technologies")
 eq = solve_equilibrium(econ)
 print(f"planner optimum found, status = {eq.status}")
-print(f"  mean scale {eq.s.mean():.4f}, "
-      f"active technologies {(eq.s > 1e-6 * eq.s.max()).sum()}/{econ.N}")
+print(f"  mean scale {eq.s_star.mean():.4f}, "
+      f"active technologies {(eq.s_star > 1e-6 * eq.s_star.max()).sum()}/{econ.N}")
 
 print("\nequilibrium certificates:")
 for name, (val, ok) in certify_equilibrium(econ, eq).items():

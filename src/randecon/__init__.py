@@ -15,15 +15,15 @@ from .ensemble import (EconomyInstance, EnsembleParams, from_text,
 from .errors import (DomainError, NoConvergenceError, NonFiniteError,
                      NoRootError, RandeconError)
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
-                       gaussian_average, split_rule, truncated_scale_moments)
+                       gaussian_average, truncated_scale_moments)
 from .replica import (OrderParams, RescaledParams, SaddleSolution,
                       branch_switch_pi, solve_saddle, sweep)
 from .observables import (ObservableSet, active_fraction,
                           conditional_consumption, goods_density,
                           observable_set, scale_density,
                           utility_per_final_good)
-from .critical import (CriticalPoint, bracket_B, bracket_B_grad,
-                       critical_line_sweep, solve_critical_pi)
+from .critical import (CriticalPoint, bracket_B, critical_line_sweep,
+                       solve_critical_pi)
 from .finite import (EquilibriumSolution, FeasibilityRecord, GeometryRecord,
                      MonteCarloSummary, certify_equilibrium,
                      lp_feasibility_fraction, monte_carlo_observables,

@@ -142,7 +142,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_critical_line(args):
-    points = critical_line_sweep(_grid(args), args.eps, args.tol)
+    points = critical_line_sweep(_grid(args), args.eps)
     cols = ("n", "eps", "pi_c", "xi", "residual")
     rows = [(p.n, p.eps, p.pi_c, p.xi, p.residual) for p in points]
     failures = sum(1 for p in points if not np.isfinite(p.pi_c))
@@ -209,6 +209,7 @@ def _cmd_validate(args):
     from .ensemble import sample_economy
     from .finite import certify_equilibrium, solve_equilibrium
     from .gaussian import gauss_hermite_rule, gauss_moment_I
+    from .replica import branch_switch_pi
     from scipy.stats import norm
 
     failures = []
@@ -242,6 +243,12 @@ def _cmd_validate(args):
             got = sweep([params.with_(n=n, pi=pi)])[0].branch
             check(f"{want} at (n={n:g}, pi={pi:.4f}), pi_c = {pi_c:.4f}",
                   got == want)
+    # the two legs of the phase boundary: the saddle branch's chi = 0 end
+    # against the analytic pi_c
+    pi_s = branch_switch_pi(1.0, params.eps, pi_start=0.45)
+    pi_c = solve_critical_pi(1.0, params.eps).pi_c
+    check(f"branch switch within 1e-5 of pi_c at n=1 ({pi_s:.6f} vs {pi_c:.6f})",
+          abs(pi_s - pi_c) <= 1e-5)
     econ = sample_economy(params, 50, 4242)
     eq = solve_equilibrium(econ)
     certs = certify_equilibrium(econ, eq)
@@ -268,9 +275,13 @@ def _add_io(sub):
     sub.add_argument("--output", "-o", default=None,
                      help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--config", default=None,
                      help="key=value file with flag defaults")
+
+
+def _add_tol(sub):
+    sub.add_argument("--tol", type=float, default=1e-10,
+                     help="saddle_residual norm that accepts a root")
 
 
 def _add_workers(sub):
@@ -293,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("saddle", help="solve one saddle point")
     _add_params(p)
     _add_io(p)
+    _add_tol(p)
     p.set_defaults(func=_cmd_saddle)
 
     p = subs.add_parser("sweep", help="1-d parameter sweep with continuation")
@@ -303,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     _add_params(p)
     _add_io(p)
+    _add_tol(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("critical-line", help="analytic phase boundary")

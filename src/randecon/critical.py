@@ -4,14 +4,16 @@ The log-volume of production scales compatible with the homogeneous
 (non-primary-good) constraints concentrates, and its chi -> 0 limit can be
 written as h_tilde = (c^2/2) * B(xi) with
 
-    B = 1 + xi^2/eps^2 - ((1-pi)/n) * (I2(-xi)/I0(-xi)^2) * I2(t0)
+    B = A - (1-pi) G,   A = 1 + xi^2/eps^2,
+    G = (I2(-xi)/(n I0(-xi)^2)) * I2(t0),
     t0 = sqrt(n/I2(-xi)) * (xi*I0(-xi)/eps + eps*I1(-xi))
 
 in terms of the half-Gaussian moments I_n.  The stationarity condition in
 c at c != 0 is B = 0, and the critical fraction of primary goods pi_c(n)
 is the largest pi for which min over xi of B reaches zero; at that point
-dB/dxi = 0 as well.  B is monotone increasing in pi at fixed xi, so the
-outer search in pi is a clean bisection on the inner minimum.
+dB/dxi = 0 as well.  A > 0 and G do not depend on pi, so B <= 0 somewhere
+exactly when (1-pi) max G/A >= 1: pi_c = 1 - 1/max_xi G/A, one
+maximisation in xi with no search in pi.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, NonFiniteError, NoRootError
-from .gaussian import gauss_moment_I, std_normal_pdf
+from .gaussian import gauss_moment_I
 
 _XI_WINDOW = 10.0   # beyond |xi| ~ 10 the I_n underflow makes B meaningless
 _I2_FLOOR = 1e-100
@@ -34,160 +36,70 @@ class CriticalPoint:
     eps: float
     pi_c: float
     xi: float
-    c: float      # diagnostic only: undetermined at B = 0, see solve_critical_pi
     residual: float
+
+
+def _ratio(xi, n, eps):
+    """G/A = 1 - B/A at pi = 0, vectorised over xi; NaN where the moments
+    underflow."""
+    xi = np.asarray(xi, dtype=float)
+    i0 = gauss_moment_I(0, -xi)
+    i1 = gauss_moment_I(1, -xi)
+    i2 = gauss_moment_I(2, -xi)
+    ok = (i0 > _I2_FLOOR) & (i2 > _I2_FLOOR)
+    i0, i2 = np.where(ok, i0, 1.0), np.where(ok, i2, 1.0)
+    t0 = np.sqrt(n / i2) * (xi * i0 / eps + eps * i1)
+    g = (i2 / i0**2) * gauss_moment_I(2, t0) / n
+    return np.where(ok, g / (1.0 + (xi / eps) ** 2), np.nan)
 
 
 def bracket_B(xi: float, pi: float, n: float, eps: float) -> float:
     """The two-variable reduction B(xi; pi, n, eps) of the rescaled log-volume."""
     if n <= 0 or eps <= 0:
         raise DomainError("n and eps must be positive")
-    i0 = gauss_moment_I(0, -xi)
-    i1 = gauss_moment_I(1, -xi)
-    i2 = gauss_moment_I(2, -xi)
-    if i2 <= _I2_FLOOR or i0 <= _I2_FLOOR:
+    ratio = float(_ratio(xi, n, eps))
+    if np.isnan(ratio):
         raise NonFiniteError(f"half-Gaussian moments underflow at xi={xi}")
-    t0 = np.sqrt(n / i2) * (xi * i0 / eps + eps * i1)
-    return float(1.0 + (xi / eps) ** 2 - ((1.0 - pi) / n) * (i2 / i0**2) * gauss_moment_I(2, t0))
+    return (1.0 + (xi / eps) ** 2) * (1.0 - (1.0 - pi) * ratio)
 
 
-def bracket_B_grad(xi: float, pi: float, n: float, eps: float) -> float:
-    """Analytic dB/dxi via the recurrences I0' = pdf, I1' = I0, I2' = 2 I1."""
-    if n <= 0 or eps <= 0:
-        raise DomainError("n and eps must be positive")
-    i0 = gauss_moment_I(0, -xi)
-    i1 = gauss_moment_I(1, -xi)
-    i2 = gauss_moment_I(2, -xi)
-    if i2 <= _I2_FLOOR or i0 <= _I2_FLOOR:
-        raise NonFiniteError(f"half-Gaussian moments underflow at xi={xi}")
-    pdf = std_normal_pdf(-xi)
-    ratio = i2 / i0**2
-    # d/dxi of I_n(-xi) carries a chain-rule sign
-    dratio = 2.0 * (-i1 * i0 + i2 * pdf) / i0**3
-    w = xi * i0 / eps + eps * i1
-    dw = i0 / eps - xi * pdf / eps - eps * i0
-    t0 = np.sqrt(n / i2) * w
-    dt0 = np.sqrt(n) * (i1 * i2**-1.5 * w + i2**-0.5 * dw)
-    di2_t0 = 2.0 * gauss_moment_I(1, t0) * dt0
-    return float(2.0 * xi / eps**2
-                 - ((1.0 - pi) / n) * (dratio * gauss_moment_I(2, t0) + ratio * di2_t0))
-
-
-def _min_B(pi: float, n: float, eps: float):
-    """Interior local minimum of B nearest xi = 0: scan plus Brent refine.
-
-    B also diverges to -inf along a spurious large-xi branch where the
-    moment ratio I2/I0^2 blows up; the physical stationary point is the
-    local minimum of the well around xi = 0, so the scan takes the
-    leftmost discrete local minimum instead of the global one.
-    """
-    grid = np.linspace(-_XI_WINDOW, _XI_WINDOW, 2001)
-    vals = _B_grid(grid, pi, n, eps)
-    interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])
-    idx = np.flatnonzero(interior) + 1
-    if idx.size == 0:
-        raise NoRootError("no interior local minimum of B in the xi window")
-    best = int(idx[0])
-    res = optimize.minimize_scalar(
-        lambda x: _safe_B(x, pi, n, eps),
-        bracket=(grid[best - 1], grid[best], grid[best + 1]),
-        method="brent", options={"xtol": 1e-12})
-    return float(res.x), float(res.fun)
-
-
-def _well_min(pi, n, eps):
-    """Minimum of the near-origin well, or -inf once the well has merged
-    into the descending large-xi branch (B is then negative regardless)."""
-    try:
-        return _min_B(pi, n, eps)[1]
-    except NoRootError:
-        return -np.inf
-
-
-def _safe_B(xi, pi, n, eps):
-    try:
-        return bracket_B(float(xi), pi, n, eps)
-    except NonFiniteError:
-        return np.inf
-
-
-def _B_grid(xi, pi, n, eps):
-    """Vectorized bracket_B over an array of xi, underflow mapped to +inf."""
-    i0 = gauss_moment_I(0, -xi)
-    i1 = gauss_moment_I(1, -xi)
-    i2 = gauss_moment_I(2, -xi)
-    ok = (i0 > _I2_FLOOR) & (i2 > _I2_FLOOR)
-    i0s, i2s = np.where(ok, i0, 1.0), np.where(ok, i2, 1.0)
-    t0 = np.sqrt(n / i2s) * (xi * i0s / eps + eps * i1)
-    vals = 1.0 + (xi / eps) ** 2 \
-        - ((1.0 - pi) / n) * (i2s / i0s**2) * gauss_moment_I(2, t0)
-    return np.where(ok, vals, np.inf)
-
-
-def solve_critical_pi(n: float, eps: float, tol: float = 1e-10) -> CriticalPoint:
+def solve_critical_pi(n: float, eps: float) -> CriticalPoint:
     """Critical primary-good fraction pi_c(n; eps) with its stationary xi.
 
-    Bisection in pi on the xi-minimum of B (monotone in pi); the returned
-    residual is |min B| at pi_c.  The amplitude c is undetermined at B = 0
-    (h_tilde vanishes identically there) and is reported as NaN.
+    G/A also grows without bound along a spurious large-xi branch where
+    the moment ratio I2/I0^2 blows up; the physical stationary point is
+    the maximum of the well around xi = 0, so a scan takes the leftmost
+    discrete local maximum, refined by a Brent search.  The returned
+    residual is |B| at (xi, pi_c).
     """
-    if n <= 0 or eps <= 0 or tol <= 0:
-        raise DomainError("n, eps and tol must be positive")
-    lo, hi = 0.0, 1.0
-    b_lo = _well_min(lo, n, eps)
-    if b_lo > 0:
+    if n <= 0 or eps <= 0:
+        raise DomainError("n and eps must be positive")
+    grid = np.linspace(-_XI_WINDOW, _XI_WINDOW, 2001)
+    vals = _ratio(grid, n, eps)
+    idx = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+    if idx.size == 0:
+        raise NoRootError("no interior local maximum of G/A in the xi window")
+    best = int(idx[0])
+    res = optimize.minimize_scalar(
+        lambda x: -float(_ratio(x, n, eps)),
+        bracket=(grid[best - 1], grid[best], grid[best + 1]),
+        method="brent", options={"xtol": 1e-12})
+    pi_c = 1.0 - 1.0 / -float(res.fun)
+    if pi_c < 0:
         raise NoRootError(f"volume never vanishes at n={n}: B > 0 even at pi=0")
-    # B -> 1 + xi^2/eps^2 > 0 as pi -> 1, so the upper end is always positive
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        b_mid = _well_min(mid, n, eps)
-        if b_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(b_mid) < tol and np.isfinite(b_mid):
-            break
-    pi_c = 0.5 * (lo + hi)
-    xi, b_val = _min_B(pi_c, n, eps)
-    return CriticalPoint(n=n, eps=eps, pi_c=pi_c, xi=xi, c=float("nan"),
-                         residual=abs(b_val))
+    xi = float(res.x)
+    return CriticalPoint(n=n, eps=eps, pi_c=pi_c, xi=xi,
+                         residual=abs(bracket_B(xi, pi_c, n, eps)))
 
 
-def critical_line_sweep(n_grid: Sequence[float], eps: float,
-                        tol: float = 1e-10):
+def critical_line_sweep(n_grid: Sequence[float], eps: float):
     """pi_c along an n grid.  Points where the volume never vanishes
     (NoRootError) are recorded with pi_c = NaN rather than skipped."""
     out = []
     for n in n_grid:
         try:
-            out.append(solve_critical_pi(float(n), eps, tol))
+            out.append(solve_critical_pi(float(n), eps))
         except NoRootError:
             out.append(CriticalPoint(n=float(n), eps=eps, pi_c=float("nan"),
-                                     xi=float("nan"), c=float("nan"),
-                                     residual=float("inf")))
+                                     xi=float("nan"), residual=float("inf")))
     return out
-
-
-# -- derivation-chain evaluators ----------------------------------------------
-# Used only in tests: they verify that the three-piece rescaled log-volume
-# recombines into (c^2/2) B under the stationarity conditions in (r, c, v).
-
-def h_tilde_pieces(xi: float, c: float, pi: float, n: float, eps: float):
-    """(h1, h2, h3) of the rescaled log-volume at the partial saddle.
-
-    The stationarity conditions in (r, c, v) fix, for given (xi, c):
-    r = xi c / eps, v = I0(-xi), omega = (c/v)^2 I2(-xi),
-    lam = r + (eps c / v) I1(-xi).
-    """
-    i0 = gauss_moment_I(0, -xi)
-    i1 = gauss_moment_I(1, -xi)
-    i2 = gauss_moment_I(2, -xi)
-    r = xi * c / eps
-    v = i0
-    omega = (c / v) ** 2 * i2
-    lam = r + (eps * c / v) * i1
-    h1 = 0.5 * (v * omega - c * c - r * r) + r * lam
-    h2 = (c * c / (2.0 * v)) * i2      # closed form of <max_s[-(v/2)s^2+(ct-r eps)s]>
-    t0 = np.sqrt(n / omega) * lam
-    h3 = -((1.0 - pi) * omega / (2.0 * n)) * gauss_moment_I(2, t0)
-    return h1, h2, h3

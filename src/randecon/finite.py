@@ -119,7 +119,7 @@ def _barrier_newton(q, x0, weights, s, mu, gtol=1e-9, max_iter=120):
     return s
 
 
-def solve_equilibrium(econ: EconomyInstance, tol: float = 1e-8) -> EquilibriumSolution:
+def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     """Equilibrium scales, availabilities and shadow prices of one instance.
 
     Log-barrier Newton with a decreasing barrier weight; the final

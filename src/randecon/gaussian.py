@@ -9,10 +9,8 @@ measure  Dt = (2π)^(-1/2) exp(-t²/2) dt.  Two evaluation routes exist:
       I_1(x) = ⟨Θ(t + x)(t + x)⟩   = x I_0(x) + pdf(x)
       I_2(x) = ⟨Θ(t + x)(t + x)²⟩  = (1 + x²) I_0(x) + x pdf(x)
 
-* quadrature against a :class:`QuadratureRule`, either standardized
-  Gauss-Hermite (spectral for smooth integrands) or a composite
-  Gauss-Legendre rule split at user-supplied kink locations (restores
-  spectral accuracy for integrands with Θ factors).
+* quadrature against a :class:`QuadratureRule`, standardized
+  Gauss-Hermite (spectral for smooth integrands).
 
 Every closed form in this module is cross-checked against the quadrature
 route in the test suite; the closed forms are the fast path, the
@@ -24,16 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
 from .errors import DomainError, NonFiniteError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-#: half-width of the integration window for the composite rule; the
-#: Gaussian mass outside ±12 is ~1.8e-33, far below double precision.
-_WINDOW = 12.0
 
 
 def std_normal_pdf(x):
@@ -106,34 +99,6 @@ def gauss_hermite_rule(n_nodes: int = 120) -> QuadratureRule:
         weights=w / np.sqrt(np.pi),
         kind="gauss-hermite-standardized",
     )
-
-
-def split_rule(kinks=(), nodes_per_segment: int = 24, max_width: float = 0.75) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [-12, 12] split at the given kinks.
-
-    Hermite quadrature loses its spectral rate on integrands with Θ factors;
-    placing segment boundaries at the kink locations restores it.  Kinks
-    outside the window are ignored (their Gaussian mass is negligible).
-    """
-    kinks = [k for k in np.atleast_1d(np.asarray(kinks, dtype=float)) if abs(k) < _WINDOW]
-    edges = np.array(sorted({-_WINDOW, _WINDOW, *kinks}))
-    x_ref, w_ref = leggauss(nodes_per_segment)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / max_width)))
-        for sub in range(pieces):
-            a = lo + (hi - lo) * sub / pieces
-            b = lo + (hi - lo) * (sub + 1) / pieces
-            half = 0.5 * (b - a)
-            t = 0.5 * (a + b) + half * x_ref
-            nodes.append(t)
-            weights.append(half * w_ref * std_normal_pdf(t))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    # renormalize: the mass outside the window (~1.8e-33) is below double precision
-    return QuadratureRule(nodes=nodes[order], weights=weights[order] / weights.sum(),
-                          kind="adaptive-fallback")
 
 
 def gaussian_average(f, rule: QuadratureRule) -> float:

@@ -271,6 +271,9 @@ _ANCHOR = (2.0, 0.65)
 #: this fraction of the first chi, and the most steps any walk tries
 _CHI_DOWN, _CHI_FLOOR = 0.1, 1e-5
 _MAX_STEPS = 60
+#: a continuation along a line gives up once its step falls below this
+#: fraction of the line (a line to a collapsed point crosses pi_c)
+_MIN_STEP = 1e-3
 
 
 def _regular_coords(op: OrderParams) -> np.ndarray:
@@ -376,8 +379,8 @@ class _Search:
     def along(self, z, start, end):
         """Continue the root z at start = (n, pi) to end = (n, pi) along the
         straight line in (log n, pi), with a secant predictor; a step grows
-        by half on success and is halved on failure.  (z, op, norm) at end,
-        or None."""
+        by half on success and is halved on failure, down to _MIN_STEP.
+        (z, op, norm) at end, or None."""
         (n0, pi0), (n1, pi1) = start, end
         s, h, prev = 0.0, 0.1, None
         for _ in range(_MAX_STEPS):
@@ -387,6 +390,8 @@ class _Search:
             found = self.industrial(z0, *at)
             if found is None:
                 h /= 2.0
+                if h < _MIN_STEP:
+                    return None
                 continue
             if s_try == 1.0:
                 return found

@@ -150,6 +150,14 @@ class TestPlumbing:
                        check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command",
+                             ("critical-line", "finite", "lp-fraction", "pca-probe"))
+    def test_tol_only_on_saddle_solves(self, command):
+        # only saddle and sweep read --tol; elsewhere it is a usage error
+        proc = run_cli(command, "--tol", "1e-8", check=False)
+        assert proc.returncode == 2
+        assert "--tol" in proc.stderr
+
     def test_invalid_params_exit_2(self):
         proc = run_cli("saddle", "--n", "-1", "--pi", "0.65", "--f", "0.5",
                        "--eps", "0.1", check=False)

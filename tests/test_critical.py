@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from randecon.critical import (bracket_B, bracket_B_grad, critical_line_sweep,
-                               h_tilde_pieces, solve_critical_pi)
-from randecon.gaussian import std_normal_pdf
+from randecon.critical import bracket_B, critical_line_sweep, solve_critical_pi
+from randecon.gaussian import gauss_moment_I, std_normal_pdf
 
 
 def moment_quad(order, x):
@@ -22,6 +21,45 @@ def bracket_quad(xi, pi, n, eps):
     t0 = np.sqrt(n / i2) * (xi * i0 / eps + eps * i1)
     return 1.0 + xi ** 2 / eps ** 2 - ((1 - pi) / n) * (i2 / i0 ** 2) \
         * moment_quad(2, t0)
+
+
+def bracket_B_grad(xi, pi, n, eps):
+    """Analytic dB/dxi via the recurrences I0' = pdf, I1' = I0, I2' = 2 I1."""
+    i0 = gauss_moment_I(0, -xi)
+    i1 = gauss_moment_I(1, -xi)
+    i2 = gauss_moment_I(2, -xi)
+    pdf = std_normal_pdf(-xi)
+    ratio = i2 / i0 ** 2
+    # d/dxi of I_n(-xi) carries a chain-rule sign
+    dratio = 2.0 * (-i1 * i0 + i2 * pdf) / i0 ** 3
+    w = xi * i0 / eps + eps * i1
+    dw = i0 / eps - xi * pdf / eps - eps * i0
+    t0 = np.sqrt(n / i2) * w
+    dt0 = np.sqrt(n) * (i1 * i2 ** -1.5 * w + i2 ** -0.5 * dw)
+    di2_t0 = 2.0 * gauss_moment_I(1, t0) * dt0
+    return 2.0 * xi / eps ** 2 \
+        - ((1.0 - pi) / n) * (dratio * gauss_moment_I(2, t0) + ratio * di2_t0)
+
+
+def h_tilde_pieces(xi, c, pi, n, eps):
+    """(h1, h2, h3) of the rescaled log-volume at the partial saddle.
+
+    The stationarity conditions in (r, c, v) fix, for given (xi, c):
+    r = xi c / eps, v = I0(-xi), omega = (c/v)^2 I2(-xi),
+    lam = r + (eps c / v) I1(-xi).
+    """
+    i0 = gauss_moment_I(0, -xi)
+    i1 = gauss_moment_I(1, -xi)
+    i2 = gauss_moment_I(2, -xi)
+    r = xi * c / eps
+    v = i0
+    omega = (c / v) ** 2 * i2
+    lam = r + (eps * c / v) * i1
+    h1 = 0.5 * (v * omega - c * c - r * r) + r * lam
+    h2 = (c * c / (2.0 * v)) * i2      # closed form of <max_s[-(v/2)s^2+(ct-r eps)s]>
+    t0 = np.sqrt(n / omega) * lam
+    h3 = -((1.0 - pi) * omega / (2.0 * n)) * gauss_moment_I(2, t0)
+    return h1, h2, h3
 
 
 class TestBracketB:
@@ -103,6 +141,14 @@ class TestCriticalPi:
         pt = solve_critical_pi(1.0, 0.1)
         assert abs(pt.residual) < 1e-8
         assert abs(bracket_B(pt.xi, pt.pi_c, 1.0, 0.1)) < 1e-8
+
+    @pytest.mark.parametrize("eps", (0.1, 0.01, 0.005))
+    @pytest.mark.parametrize("n", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
+    def test_stationary(self, n, eps):
+        # (xi, pi_c) is a double root of B: B = 0 and dB/dxi = 0 together
+        pt = solve_critical_pi(n, eps)
+        assert abs(bracket_B(pt.xi, pt.pi_c, n, eps)) <= 1e-12
+        assert abs(bracket_B_grad(pt.xi, pt.pi_c, n, eps)) <= 1e-5
 
     def test_sign_bracketing(self):
         pt = solve_critical_pi(1.0, 0.1)
