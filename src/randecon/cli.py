@@ -20,7 +20,6 @@ defaulting to the RANDECON_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -210,7 +209,6 @@ def _cmd_validate(args):
     from .finite import certify_equilibrium, solve_equilibrium
     from .gaussian import gauss_hermite_rule, gauss_moment_I
     from .replica import branch_switch_pi
-    from scipy.stats import norm
 
     failures = []
 

@@ -123,6 +123,17 @@ class TestValidate:
         proc = run_cli("validate")
         assert "FAIL" not in proc.stdout
 
+    def test_loads_no_scipy_stats(self):
+        # a fresh interpreter, so no other test has imported scipy.stats
+        code = ("import sys\n"
+                "from randecon.cli import main\n"
+                "main(['validate'])\n"
+                "print('scipy.stats' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestPlumbing:
     def test_output_file(self, tmp_path):

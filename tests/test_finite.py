@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
+import randecon
+from randecon import finite
 from randecon.ensemble import EconomyInstance, EnsembleParams, sample_economy
 from randecon.errors import DomainError
 from randecon.finite import (ACTIVE_THRESHOLD, certify_equilibrium,
@@ -33,12 +40,14 @@ class TestSolveEquilibrium:
         assert sol.objective == 0.0
         assert np.all(sol.s_star == 0.0)
         assert sol.status == "optimal"
+        assert sol.newton_steps == ()
 
     def test_closed_cone_toy(self):
         sol = solve_equilibrium(toy_closed_cone())
         assert np.all(sol.s_star == 0.0)
         assert sol.status == "infeasible"
         assert sol.objective == float("-inf")
+        assert sol.newton_steps == ()
 
     def test_feasibility_and_positivity(self):
         econ = sample_economy(PARAMS, C=33, seed=7)
@@ -61,11 +70,51 @@ class TestSolveEquilibrium:
         b = solve_equilibrium(econ)
         assert np.array_equal(a.s_star, b.s_star)
 
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # N=100: the Hessian is built and factored in one BLAS library,
+        # so the thread count does not change a single bit of s*
+        code = ("from randecon.ensemble import EnsembleParams, sample_economy\n"
+                "from randecon.finite import solve_equilibrium\n"
+                "params = EnsembleParams(n=1.0, pi=0.65, f=0.5, eps=0.1)\n"
+                "econ = sample_economy(params, 100, 20001)\n"
+                "print(solve_equilibrium(econ).s_star.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(randecon.__file__))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
+    def test_newton_steps_per_level(self, monkeypatch):
+        factored = []
+
+        def counting_cho_factor(*args, **kwargs):
+            factored.append(1)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "cho_factor", counting_cho_factor)
+        econ = sample_economy(PARAMS, C=33, seed=7)
+        sol = solve_equilibrium(econ)
+        # one entry per barrier level: mu = 1, 0.2, ..., 0.2**12, then 1e-9
+        assert len(sol.newton_steps) == 14
+        assert all(0 <= steps <= 120 for steps in sol.newton_steps)
+        assert sum(sol.newton_steps) == len(factored)
+
 
 class TestCertification:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_suite(self, seed):
-        econ = sample_economy(PARAMS, C=33, seed=seed)
+    @pytest.mark.parametrize("params, C, seed", [
+        pytest.param(PARAMS, 33, 0, id="0"),
+        pytest.param(PARAMS, 33, 1, id="1"),
+        pytest.param(PARAMS, 33, 2, id="2"),
+        pytest.param(PARAMS.with_(n=2.0), 100, 20001, id="N200"),
+    ])
+    def test_full_suite(self, params, C, seed):
+        econ = sample_economy(params, C=C, seed=seed)
         sol = solve_equilibrium(econ)
         cert = certify_equilibrium(econ, sol)
         failing = {name: val for name, (val, passed) in cert.items()
