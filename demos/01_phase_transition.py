@@ -6,8 +6,10 @@ technology produces), and the fraction f of final goods (the ones consumers
 value).  If primary goods are scarce, no combination of technologies can run
 at positive scale without eating more of some good than exists, and the
 economy sits idle.  This script walks the pi axis at fixed n and watches the
-transition happen, then confirms that the analytic boundary, the
-saddle-point branch switch, and direct finite solving all agree.
+transition happen.  The saddle solver calls a point collapsed when it finds
+no industrial root and pi lies at or below the analytic boundary pi_c; the
+saddle-point branch switch, where the industrial branch reaches chi = 0,
+is the independent check that the two agree.
 """
 
 import numpy as np

@@ -233,20 +233,17 @@ def _cmd_validate(args):
     check("mean availability identity",
           abs(obs.x_mean - (params.pi - params.n * params.eps * obs.s_mean))
           < 1e-6)
-    # phase oracle: the saddle solver's branch against the analytic pi_c
+    # the two legs of the phase boundary: industrial roots just above the
+    # analytic pi_c, and the saddle branch's chi = 0 end against it
     for n in (0.5, 1.0, 2.0):
         pi_c = solve_critical_pi(n, params.eps).pi_c
-        for pi in (pi_c + 0.1, max(pi_c - 0.1, 0.0)):
-            want = "industrial" if pi > pi_c else "collapsed"
-            got = sweep([params.with_(n=n, pi=pi)])[0].branch
-            check(f"{want} at (n={n:g}, pi={pi:.4f}), pi_c = {pi_c:.4f}",
-                  got == want)
-    # the two legs of the phase boundary: the saddle branch's chi = 0 end
-    # against the analytic pi_c
-    pi_s = branch_switch_pi(1.0, params.eps, pi_start=0.45)
-    pi_c = solve_critical_pi(1.0, params.eps).pi_c
-    check(f"branch switch within 1e-5 of pi_c at n=1 ({pi_s:.6f} vs {pi_c:.6f})",
-          abs(pi_s - pi_c) <= 1e-5)
+        for gap in (0.1, 1e-3):
+            got = sweep([params.with_(n=n, pi=pi_c + gap)])[0].branch
+            check(f"industrial at pi_c + {gap:g} (n={n:g}, pi_c = {pi_c:.6f})",
+                  got == "industrial")
+        pi_s = branch_switch_pi(n, params.eps)
+        check(f"branch switch within 1e-5 of pi_c at n={n:g}"
+              f" ({pi_s:.6f} vs {pi_c:.6f})", abs(pi_s - pi_c) <= 1e-5)
     econ = sample_economy(params, 50, 4242)
     eq = solve_equilibrium(econ)
     certs = certify_equilibrium(econ, eq)

@@ -68,7 +68,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # "gauss-hermite-standardized" or "adaptive-fallback"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -84,21 +83,13 @@ class QuadratureRule:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1 for the Gaussian measure")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
 
 def gauss_hermite_rule(n_nodes: int = 120) -> QuadratureRule:
     """Standardized Gauss-Hermite rule: exact for polynomials up to degree 2n-1."""
     if n_nodes < 2:
         raise DomainError("need at least 2 nodes")
     x, w = hermgauss(n_nodes)
-    return QuadratureRule(
-        nodes=np.sqrt(2.0) * x,
-        weights=w / np.sqrt(np.pi),
-        kind="gauss-hermite-standardized",
-    )
+    return QuadratureRule(nodes=np.sqrt(2.0) * x, weights=w / np.sqrt(np.pi))
 
 
 def gaussian_average(f, rule: QuadratureRule) -> float:

@@ -149,14 +149,3 @@ def observable_set(sol: SaddleSolution,
     return ObservableSet(phi=phi, s_mean=s1, x_mean=x_mean,
                          x11=x11, x01=x01, x10=x10, x00=x00,
                          consumption=xc, waste=xw, utility=util)
-
-
-CSV_HEADER = ("n", "pi", "f", "eps", "branch", "phi", "s_mean", "x_mean",
-              "x11", "x01", "x10", "x00", "consumption", "waste", "utility")
-
-
-def observable_csv_row(sol: SaddleSolution, obs: ObservableSet):
-    p = sol.params
-    return (p.n, p.pi, p.f, p.eps, sol.branch, obs.phi, obs.s_mean,
-            obs.x_mean, obs.x11, obs.x01, obs.x10, obs.x00,
-            obs.consumption, obs.waste, obs.utility)

@@ -22,10 +22,11 @@ branch, independent of the final-good fraction f, and the sixth,
 delta = n phi, holds only at the branch switch pi_s(n, eps).
 
 * industrial: a root with chi > 0;
-* collapsed: pi below the switch, found by solving the six equations at
-  chi = 0 with pi as the unknown.  Below the switch every production
+* collapsed: no root, and pi at or below the analytic boundary
+  pi_c(n, eps) of critical.solve_critical_pi.  Below it every production
   process shuts down (s* = 0), and that state is reported as
-  TRIVIAL_COLLAPSED.
+  TRIVIAL_COLLAPSED.  branch_switch_pi walks the branch down to its
+  chi = 0 end, the independent check of that boundary on this system.
 
 Every root is found by Powell's hybrid method on this one system, in
 coordinates scaled by eps (plain damped fixed-point iteration diverges:
@@ -44,8 +45,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import optimize
 
+from . import critical
 from .ensemble import EnsembleParams
-from .errors import DomainError, NoConvergenceError, NonFiniteError
+from .errors import DomainError, NoConvergenceError, NonFiniteError, NoRootError
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
                        truncated_scale_moments)
 
@@ -262,9 +264,9 @@ _START_SCALE = 0.3
 #: where the root is continued from when no start reaches it directly:
 #: the default point of the CLI, which the first start reaches at eps 0.1
 #: and 0.01.  pi_c(n) falls with n, so the straight line in (log n, pi)
-#: from it to a point above pi_c(n) stays above the critical line.  When
-#: no start gives the chi = 0 switch either, the branch is walked down in
-#: chi from the root continued to (n, 0.65).
+#: from it to a point above pi_c(n) stays above the critical line.  pi_c
+#: decides the label before the anchor is tried, so only such points are
+#: continued to.
 _ANCHOR = (2.0, 0.65)
 
 #: the walk down the branch in chi: step factor, jump to chi = 0 below
@@ -419,16 +421,13 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
     The regular system (see regular_residual) is solved from ``init``,
     then from the two cold starts.  A root with chi > 0, <s*> > 0 and
     saddle_residual norm <= tol is labelled "industrial".  Failing that,
-    the six equations are solved at chi = 0 with pi as the unknown, from
-    the cold starts: this is the branch switch pi_s.  When pi lies below
-    it the point is labelled "collapsed" and its state is
-    TRIVIAL_COLLAPSED with residual 0.  Otherwise the root at
-    (n, pi) = (2, 0.65) is continued to the requested point.  When that
-    fails too and no cold start gave the switch, the root continued to
-    (n, 0.65) is walked down in chi to chi = 0 (as in branch_switch_pi),
-    and pi below that switch is "collapsed".  ``max_iter`` is the budget
-    of residual evaluations of each root solve; ``iterations`` counts the
-    evaluations of all of them.
+    the analytic boundary pi_c(n, eps) (critical.solve_critical_pi)
+    decides: pi <= pi_c is "collapsed", with state TRIVIAL_COLLAPSED and
+    residual 0; above it the root at (n, pi) = (2, 0.65) is continued to
+    the requested point.  When pi_c does not exist (NoRootError), only the
+    industrial search runs.  ``max_iter`` is the budget of residual
+    evaluations of each root solve; ``iterations`` counts the evaluations
+    of all of them.
 
     Raises NoConvergenceError when neither label is established: a point
     is never called collapsed for want of a root.
@@ -443,11 +442,11 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
         found = search.industrial(z0, n, pi)
         if found is not None:
             return _solution(params, "industrial", *found[1:], search.evals)
-    for z0 in starts:
-        switch = search.bordered(z0, pi, 0.0)
-        if switch is not None:
-            break
-    if switch is not None and pi < switch[1]:
+    try:
+        pi_c = critical.solve_critical_pi(n, params.eps).pi_c
+    except NoRootError:
+        pi_c = None
+    if pi_c is not None and pi <= pi_c:
         return _solution(params, "collapsed", TRIVIAL_COLLAPSED, 0.0, search.evals)
     for z0 in starts:
         anchor = search.industrial(z0, *_ANCHOR)
@@ -455,16 +454,10 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
             found = search.along(anchor[0], _ANCHOR, (n, pi))
             if found is not None:
                 return _solution(params, "industrial", *found[1:], search.evals)
-            if switch is None:
-                mid = search.along(anchor[0], _ANCHOR, (n, _ANCHOR[1]))
-                switch = None if mid is None else search.switch(mid[0], _ANCHOR[1])
-                if switch is not None and pi < switch[1]:
-                    return _solution(params, "collapsed", TRIVIAL_COLLAPSED, 0.0,
-                                     search.evals)
             break
     raise NoConvergenceError(
         f"no root at {params} after {search.evals} residual evaluations"
-        + ("" if switch is None else f" (chi = 0 switch at pi = {switch[1]:.6g})"))
+        + ("" if pi_c is None else f" (pi_c = {pi_c:.6g})"))
 
 
 def branch_switch_pi(n: float, eps: float, f: float = 0.5, pi_start: float = 0.95,

@@ -1,0 +1,28 @@
+"""Smoke test of the analytic-leg demos: each runs to the end in a fresh
+interpreter.  Demos 04 and 05 solve finite economies for 15 s or more
+each and are left out."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ("01_phase_transition.py", "02_development_sweep.py",
+         "03_distributions.py")
+
+
+def run_demo(name):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    out = run_demo(name)
+    if name.startswith("01"):
+        rows = [line.split()[:2] for line in out.splitlines()]
+        for pi in ("0.330", "0.300", "0.250"):
+            assert [pi, "collapsed"] in rows

@@ -41,8 +41,7 @@ def split_rule(kinks=(), nodes_per_segment=24, max_width=0.75):
     weights = np.concatenate(weights)
     order = np.argsort(nodes)
     # renormalize: the mass outside the window (~1.8e-33) is below double precision
-    return QuadratureRule(nodes=nodes[order], weights=weights[order] / weights.sum(),
-                          kind="adaptive-fallback")
+    return QuadratureRule(nodes=nodes[order], weights=weights[order] / weights.sum())
 
 
 def gauss_quad(f, lo=-12.0, hi=12.0, kink=None):
@@ -135,7 +134,7 @@ class TestQuadratureRules:
     def test_invalid_rule_rejected(self):
         with pytest.raises(DomainError):
             QuadratureRule(nodes=np.array([0.0, -1.0]),
-                           weights=np.array([0.5, 0.5]), kind="adaptive-fallback")
+                           weights=np.array([0.5, 0.5]))
 
     def test_normalization(self):
         assert gaussian_average(lambda t: np.ones_like(t), RULE) == \

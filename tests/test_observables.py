@@ -5,9 +5,8 @@ from scipy.integrate import quad
 from randecon.ensemble import EnsembleParams
 from randecon.observables import (ObservableSet, active_fraction,
                                   conditional_consumption, goods_atom,
-                                  goods_density, mean_scale, observable_csv_row,
-                                  observable_set, scale_density,
-                                  utility_per_final_good)
+                                  goods_density, mean_scale, observable_set,
+                                  scale_density, utility_per_final_good)
 from randecon.replica import OrderParams, RescaledParams, solve_saddle
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
@@ -113,11 +112,6 @@ class TestObservableSet:
     def test_mean_availability_identity(self, obs):
         want = PARAMS.pi - PARAMS.n * PARAMS.eps * obs.s_mean
         assert obs.x_mean == pytest.approx(want, abs=1e-6)
-
-    def test_csv_row_shape(self, sol, obs):
-        row = observable_csv_row(sol, obs)
-        assert len(row) == 15
-        assert row[4] == "industrial"
 
 
 class TestCollapsedBranch:

@@ -3,10 +3,10 @@ import pytest
 from scipy import optimize
 from scipy.integrate import quad
 
-from randecon import replica
+from randecon import critical, replica
 from randecon.critical import solve_critical_pi
 from randecon.ensemble import EnsembleParams
-from randecon.errors import DomainError, NoConvergenceError
+from randecon.errors import DomainError, NoConvergenceError, NoRootError
 from randecon.gaussian import gauss_hermite_rule, std_normal_pdf
 from randecon.replica import (DEFAULT_RULE, SOLUTION_CSV_COLUMNS, OrderParams,
                               RescaledParams, branch_switch_pi, moments_M,
@@ -279,9 +279,8 @@ class TestPhaseLabels:
                     wrong.append((n, pi, sol.branch, pi_c))
         assert not wrong
 
-    # neither cold start settles the chi = 0 switch at these points, nor
-    # is the anchor continued to them: the switch comes from the walk down
-    # in chi from (n, 0.65)
+    # no cold start reaches a root at these points and the chi = 0 switch
+    # is hard to reach from them: pi_c alone settles the label
     @pytest.mark.parametrize("n,pi", [(1.0, 0.18), (1.5, 0.07),
                                       (1.849206349206349, 0.05),
                                       (1.972222222222222, 0.05),
@@ -290,6 +289,34 @@ class TestPhaseLabels:
         assert pi < solve_critical_pi(n, 0.1).pi_c
         sol = solve_saddle(EnsembleParams(n=n, pi=pi, f=0.5, eps=0.1))
         assert sol.branch == "collapsed"
+
+    def test_collapsed_at_large_n_small_eps(self):
+        # pi_c is about 4e-5 here; the walk down in chi never reached chi = 0
+        sol = solve_saddle(EnsembleParams(n=8.0, pi=0.0, f=0.5, eps=0.01))
+        assert sol.branch == "collapsed"
+        assert sol.op is replica.TRIVIAL_COLLAPSED
+
+    def test_labels_need_no_chi_zero_solve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solve_saddle made a chi = 0 solve")
+
+        monkeypatch.setattr(replica._Search, "bordered", unreachable)
+        monkeypatch.setattr(replica._Search, "switch", unreachable)
+        sol = solve_saddle(EnsembleParams(n=1.0, pi=0.2, f=0.5, eps=0.1))
+        assert sol.branch == "collapsed"
+        # no cold start reaches this root; the anchor continuation does
+        sol = solve_saddle(EnsembleParams(n=2.0, pi=0.1, f=0.5, eps=0.1))
+        assert sol.branch == "industrial"
+
+    def test_never_collapsed_without_pi_c(self, monkeypatch):
+        def no_root(n, eps):
+            raise NoRootError("no pi_c")
+
+        monkeypatch.setattr(critical, "solve_critical_pi", no_root)
+        with pytest.raises(NoConvergenceError):
+            solve_saddle(EnsembleParams(n=1.0, pi=0.2, f=0.5, eps=0.1))
+        sol = solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
+        assert sol.branch == "industrial"
 
     @pytest.mark.parametrize("n,pi_start", [(0.5, 0.70), (1.0, 0.45), (2.0, 0.20)])
     def test_branch_switch_on_critical_line(self, n, pi_start):
