@@ -4,11 +4,14 @@ Three numerical experiments on sampled economies:
 
 * ``solve_equilibrium``: the consumer's concave program
   max_{s >= 0} sum_c k_c log(x0_c + (q^T s)_c), subject to nonnegative
-  availability of every good, via a log-barrier Newton method.  Shadow
-  prices come with the barrier for free and are certified against the
-  KKT conditions (zero profit, complementary slackness, Walras' law).
-  At N~100 the result is bit-identical at any BLAS thread count; at
-  N >= 200 it is reproducible only at a fixed thread count.
+  availability of every good, via Mehrotra's predictor-corrector
+  primal-dual interior-point method.  Shadow prices are the method's
+  dual variables; the loop stops once mean complementarity, stationarity
+  and availability residuals are at rounding level, and the prices are
+  certified against the KKT conditions (zero profit, complementary
+  slackness, Walras' law).  At N~100 the result is bit-identical at any
+  BLAS thread count; at N >= 200 it is reproducible only at a fixed
+  thread count.
 * ``lp_feasibility_fraction``: does the homogeneous cone
   {s >= 0 : (q^T s)_c >= 0 for non-primary c} contain more than the
   origin?  A bounded LP answers per instance; the fraction over trials
@@ -33,8 +36,15 @@ from .errors import DomainError, NoConvergenceError
 #: production scales below this are treated as shut down
 ACTIVE_THRESHOLD = 1e-4
 
-_MU_FINAL = 1e-9
-_MU_SHRINK = 0.2
+#: stop rule of the primal-dual loop, in the infinity norm: every
+#: complementarity product s_i z_i and w_c p_c, the stationarity residual
+#: and the non-final availability residual x0 + q^T s - w
+_COMPLEMENTARITY_TOL = 1e-12
+_STATIONARITY_TOL = 1e-7
+_AVAILABILITY_TOL = 1e-12
+_MAX_ITER = 100
+#: fraction of the way to the boundary of the positive orthant taken per step
+_STEP_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
@@ -42,15 +52,18 @@ class EquilibriumSolution:
     s_star: np.ndarray = field(repr=False)   # (N,)
     x_star: np.ndarray = field(repr=False)   # (C,)
     duals: np.ndarray = field(repr=False)    # (C,) shadow prices
-    active_set: np.ndarray = field(repr=False)
     objective: float
     kkt_residual: float
     status: str = "optimal"                  # or "infeasible" (utility -inf)
-    newton_steps: tuple[int, ...] = ()       # per barrier level; () if none ran
+    newton_steps: int = 0                    # Cholesky factorisations; 0 if none ran
+
+    @property
+    def active_set(self) -> np.ndarray:
+        return np.flatnonzero(self.s_star > ACTIVE_THRESHOLD)
 
     @property
     def n_active(self) -> int:
-        return int(self.active_set.size)
+        return int(np.count_nonzero(self.s_star > ACTIVE_THRESHOLD))
 
 
 def _phase_one(q: np.ndarray, x0: np.ndarray, eps: float):
@@ -80,71 +93,49 @@ def _phase_one(q: np.ndarray, x0: np.ndarray, eps: float):
     return s0 + delta, t
 
 
-def _barrier_newton(q, x0, weights, s, mu, gtol=1e-9, max_iter=120):
-    """Inner Newton loop for F(s) = sum_c w_c log x_c + mu sum_i log s_i.
-
-    Convergence is measured on the gradient itself, not the Newton
-    decrement: the barrier makes shut-down coordinates extremely stiff,
-    so a tiny decrement can hide order-1e-3 gradient components (exactly
-    the profit residuals the KKT certificate looks at).  Once inside the
-    quadratic basin the objective changes by less than float precision,
-    so backtracking compares F only while the decrement is still large.
-    Returns s and the number of Newton steps (Cholesky solves) taken.
-    """
-    for steps in range(max_iter):
-        x = x0 + s @ q
-        grad = q @ (weights / x) + mu / s
-        if float(np.abs(grad).max()) < gtol:
-            return s, steps
-        # scipy's GEMM, not numpy's @: cho_factor runs in scipy's own
-        # OpenBLAS, and handing off between the two libraries' thread
-        # pools costs more than the arithmetic (8.0 ms against 0.97 ms a
-        # step at N=200, C=100 with two BLAS threads on 2 vCPUs)
-        curv = dgemm(1.0, q * (weights / x**2), q, trans_b=True)
-        curv[np.diag_indices_from(curv)] += mu / s**2
-        step = cho_solve(cho_factor(curv), grad)
-        decrement = float(grad @ step)
-        # ratio test: stay strictly inside x > 0, s > 0
-        dx = step @ q
-        alpha = 1.0
-        for val, dv in ((x, dx), (s, step)):
-            shrink = dv < 0
-            if np.any(shrink):
-                alpha = min(alpha, 0.99 * float(np.min(-val[shrink] / dv[shrink])))
-        if decrement > 1e-6:
-            # backtracking on the barrier objective while far from center
-            f0 = float(weights @ np.log(x) + mu * np.log(s).sum())
-            while alpha > 1e-14:
-                s_try = s + alpha * step
-                x_try = x0 + s_try @ q
-                if np.all(x_try > 0) and np.all(s_try > 0):
-                    f_try = float(weights @ np.log(x_try) + mu * np.log(s_try).sum())
-                    if f_try > f0:
-                        break
-                alpha *= 0.5
-            else:
-                return s, steps + 1
-        s = s + alpha * step
-    return s, max_iter
+def _max_step(pairs) -> float:
+    """Largest alpha <= 1 keeping every val + alpha * dv nonnegative."""
+    alpha = 1.0
+    for val, dv in pairs:
+        shrink = dv < 0
+        if np.any(shrink):
+            alpha = min(alpha, float(np.min(-val[shrink] / dv[shrink])))
+    return alpha
 
 
 def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     """Equilibrium scales, availabilities and shadow prices of one instance.
 
-    Log-barrier Newton with a decreasing barrier weight; the final
-    barrier gives dual prices mu/x_c for non-final goods and 1/x_c
-    (marginal log utility) for final goods.  When the feasible set has
-    empty interior the economy cannot operate: s* = 0 and, unless every
-    final good is primary, the utility is -inf (status "infeasible").
+    Maximizes sum_{c final} log x_c over s >= 0 with x = x0 + q^T s and
+    the non-final availabilities w = x_c >= 0 by Mehrotra's
+    predictor-corrector primal-dual method (Wright, *Primal-Dual
+    Interior-Point Methods*, 1997).  The unknowns are s, its duals z,
+    the slacks w and their prices p; w is a variable of its own because
+    x0 + q^T s loses a tiny availability to cancellation.  The loop
+    starts from the phase-one scales with z = p = 1.  Each iteration
+    factors the reduced Hessian q D q^T + diag(z/s) once, with
+    D_c = 1/x_c^2 for final goods and p_c/w_c for non-final goods, and
+    solves with it twice (predictor, then centred corrector).  The loop
+    stops when every complementarity product s_i z_i and w_c p_c is
+    below 1e-12, the stationarity residual q (1/x_final, p) + z below
+    1e-7 and x0 + q^T s - w below 1e-12, each in the infinity norm, and
+    raises ``NoConvergenceError`` after 100 iterations.  The largest
+    product, not the mean, is tested because a degenerate good (w_c and
+    p_c both tending to 0) lags behind the mean and would keep a price
+    far above zero.  Final goods are priced 1/x_c (marginal log
+    utility), non-final goods p_c.
+
+    When the feasible set has empty interior the economy cannot operate:
+    s* = 0 and, unless every final good is primary, the utility is -inf
+    (status "infeasible").
     """
-    q, x0, k = econ.q, econ.x0.astype(bool), econ.k.astype(bool)
+    q, k = econ.q, econ.k.astype(bool)
     if not k.any():
         # nothing enters the utility: s* = 0 is an admissible optimum
         x = econ.x0.copy()
         return EquilibriumSolution(
             s_star=np.zeros(econ.N), x_star=x, duals=np.zeros(econ.C),
-            active_set=np.array([], dtype=int), objective=0.0,
-            kkt_residual=0.0, status="optimal")
+            objective=0.0, kkt_residual=0.0, status="optimal")
     s0, t = _phase_one(q, econ.x0, econ.eps)
     if t <= 1e-7:
         x = econ.x0.copy()
@@ -154,22 +145,77 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
         profits = q @ duals
         return EquilibriumSolution(
             s_star=np.zeros(econ.N), x_star=x, duals=duals,
-            active_set=np.array([], dtype=int), objective=objective,
+            objective=objective,
             kkt_residual=float(max(0.0, profits.max(initial=0.0))),
             status="infeasible" if stuck.any() else "optimal")
-    s = np.maximum(s0, 1e-10)
-    mu = 1.0
-    newton_steps = []
-    while True:
-        weights = np.where(k, 1.0, mu)
-        s, steps = _barrier_newton(q, econ.x0, weights, s, mu)
-        newton_steps.append(steps)
-        if mu <= _MU_FINAL:
+    s, nf = np.maximum(s0, 1e-10), ~k
+    w = econ.x0[nf] + (s @ q)[nf]
+    z, p = np.ones_like(s), np.ones_like(w)
+    m = s.size + w.size
+    duals, weights = np.empty(econ.C), np.empty(econ.C)
+    diag = np.diag_indices(econ.N)
+    newton_steps = 0
+    for _ in range(_MAX_ITER):
+        x = econ.x0 + s @ q
+        duals[k], duals[nf] = 1.0 / x[k], p
+        r_dual = q @ duals + z                  # stationarity: z minus profit
+        r_avail = x[nf] - w
+        gap = max(float(np.max(s * z)), float(np.max(w * p, initial=0.0)))
+        if (gap < _COMPLEMENTARITY_TOL
+                and float(np.abs(r_dual).max()) < _STATIONARITY_TOL
+                and float(np.abs(r_avail).max(initial=0.0)) < _AVAILABILITY_TOL):
             break
-        mu = max(mu * _MU_SHRINK, _MU_FINAL)
-    x = econ.x0 + s @ q
-    duals = np.where(k, 1.0, mu) / x
-    active = np.flatnonzero(s > ACTIVE_THRESHOLD)
+        weights[k], weights[nf] = duals[k] ** 2, p / w
+        # scipy's GEMM, not numpy's @: cho_factor runs in scipy's own
+        # OpenBLAS, and handing off between the two libraries' thread
+        # pools costs more than the arithmetic (8.0 ms against 0.97 ms a
+        # step at N=200, C=100 with two BLAS threads on 2 vCPUs)
+        hess = dgemm(1.0, q * weights, q, trans_b=True)
+        hess[diag] += z / s
+        newton_steps += 1
+        try:
+            factor = cho_factor(hess)
+        except np.linalg.LinAlgError:
+            # rounding near the optimum: one retry with a tiny shift
+            hess[diag] += 1e-14 * float(hess[diag].max())
+            newton_steps += 1
+            try:
+                factor = cho_factor(hess)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(
+                    f"primal-dual Hessian not positive definite: {exc}") from exc
+
+        def direction(r_sz, r_wp):
+            shift = np.zeros(econ.C)
+            shift[nf] = (r_wp + p * r_avail) / w
+            ds = cho_solve(factor, r_dual - q @ shift - r_sz / s)
+            dx = ds @ q
+            dw = dx[nf] + r_avail
+            return ds, dx, dw, -(r_sz + z * ds) / s, -(r_wp + p * dw) / w
+
+        def step(ds, dx, dw, dz, dp):
+            return _max_step(((s, ds), (x[k], dx[k]), (w, dw),
+                              (z, dz), (p, dp)))
+
+        # predictor: the affine-scaling direction, aimed at zero products
+        ds, dx, dw, dz, dp = direction(s * z, w * p)
+        alpha = step(ds, dx, dw, dz, dp)
+        mu = float(s @ z + w @ p) / m
+        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)
+                       + (w + alpha * dw) @ (p + alpha * dp)) / m
+        # corrector: centred on sigma mu with the second-order term; the
+        # floor keeps the last step from overshooting far below the stop
+        # rule, where the Hessian stops being positive definite
+        target = max((mu_aff / mu) ** 3 * mu, 0.1 * _COMPLEMENTARITY_TOL)
+        ds, dx, dw, dz, dp = direction(s * z + ds * dz - target,
+                                       w * p + dw * dp - target)
+        alpha = min(1.0, _STEP_FRACTION * step(ds, dx, dw, dz, dp))
+        s, w = s + alpha * ds, w + alpha * dw
+        z, p = z + alpha * dz, p + alpha * dp
+    else:
+        raise NoConvergenceError(
+            f"primal-dual loop: no convergence in {_MAX_ITER} iterations "
+            f"(largest complementarity product {gap:.1e})")
     profits = q @ duals
     kkt = max(
         float(np.max(profits, initial=-np.inf)),          # dual feasibility
@@ -178,9 +224,8 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     )
     objective = float(np.log(x[k]).sum())
     return EquilibriumSolution(s_star=s, x_star=x, duals=duals,
-                               active_set=active, objective=objective,
-                               kkt_residual=kkt, status="optimal",
-                               newton_steps=tuple(newton_steps))
+                               objective=objective, kkt_residual=kkt,
+                               status="optimal", newton_steps=newton_steps)
 
 
 def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution,
@@ -197,12 +242,11 @@ def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution,
     s, x, p = sol.s_star, sol.x_star, sol.duals
     scale = float(np.linalg.norm(p)) + 1e-300
     profits = q @ p
-    active = sol.active_set
     checks = {}
     # Zero profit is asserted for activities clearly above the activity
-    # threshold; barrier bias makes the profit of a marginally active
-    # activity (s ~ ACTIVE_THRESHOLD) indistinguishable from zero at the
-    # solver's resolution, and complementary slackness below already
+    # threshold; interior-point bias makes the profit of a marginally
+    # active activity (s ~ ACTIVE_THRESHOLD) indistinguishable from zero at
+    # the solver's resolution, and complementary slackness below already
     # covers every activity at every scale.
     operating = s > 10.0 * ACTIVE_THRESHOLD
     zp = float(np.max(np.abs(profits[operating]), initial=0.0)) / scale
@@ -361,21 +405,16 @@ class GeometryRecord:
         return self.lambda_max / self.N
 
 
-def _power_iteration(mat: np.ndarray, iters: int = 500, tol: float = 1e-10) -> float:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v_new = w / nrm
-        if abs(nrm - lam) < tol * max(1.0, nrm):
-            return nrm
-        lam, v = nrm, v_new
-    return lam
+def _top_eigenvalue(verts: np.ndarray) -> float:
+    """Top eigenvalue of the coordinate correlation matrix of a vertex cloud.
+
+    Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
+    """
+    live = verts.std(axis=0) > 1e-12
+    corr = np.eye(verts.shape[1])
+    if live.sum() >= 2:
+        corr[np.ix_(live, live)] = np.corrcoef(verts[:, live], rowvar=False)
+    return float(np.linalg.eigvalsh(corr)[-1])
 
 
 def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
@@ -384,9 +423,9 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
 
     For each technology draw, maximize ``n_objective_draws`` random
     nonnegative unit objectives over the full feasible set (endowments
-    included, total scale capped by primary-count/eps), take the
+    included, total scale capped by primary-count/eps), form the
     coordinate correlation matrix of the resulting vertex cloud, and
-    extract its top eigenvalue by power iteration; the reported
+    take its top eigenvalue with a dense symmetric eigensolver; the reported
     lambda_max averages over technology draws.  Zero-variance
     coordinates enter as uncorrelated unit-diagonal rows.  A draw whose
     vertices are all at the origin is degenerate; if every draw is
@@ -417,13 +456,7 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
         verts = np.array(vertices)
         if len(verts) < 2 or np.all(np.abs(verts) < 1e-12):
             continue
-        std = verts.std(axis=0)
-        live = std > 1e-12
-        corr = np.eye(econ.N)
-        if live.sum() >= 2:
-            sub = np.corrcoef(verts[:, live], rowvar=False)
-            corr[np.ix_(live, live)] = sub
-        lams.append(_power_iteration(corr))
+        lams.append(_top_eigenvalue(verts))
     if not lams:
         return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps,
                               N=N, C=C, samples=0, lambda_max=float("nan"),
