@@ -10,14 +10,14 @@ special functions and quadrature rules the analytic leg is built on.
 
 __version__ = "0.1.0"
 
-from .ensemble import (EconomyInstance, EnsembleParams, from_text,
-                       intermediate_sweep_map, sample_economy, to_text)
+from .ensemble import (EconomyInstance, EnsembleParams, intermediate_sweep_map,
+                       sample_economy)
 from .errors import (DomainError, NoConvergenceError, NonFiniteError,
                      NoRootError, RandeconError)
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
                        gaussian_average, truncated_scale_moments)
-from .replica import (OrderParams, RescaledParams, SaddleSolution,
-                      branch_switch_pi, solve_saddle, sweep)
+from .replica import (OrderParams, SaddleSolution, branch_switch_pi,
+                      solve_saddle, sweep)
 from .observables import (ObservableSet, active_fraction,
                           conditional_consumption, goods_density,
                           observable_set, scale_density,

@@ -13,9 +13,7 @@ validate       quick self-check suite; nonzero exit on any failure
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
 byte-identical apart from the timestamp line.  Defaults can be loaded
-from a plain ``key=value`` file via ``--config``.  lp-fraction and
-pca-probe solve their pi grids in a thread pool of ``--workers`` threads,
-defaulting to the RANDECON_WORKERS environment variable.
+from a plain ``key=value`` file via ``--config``.
 """
 from __future__ import annotations
 
@@ -165,13 +163,12 @@ def _cmd_finite(args):
 
 
 def _run_pi_grid(args, one_point):
-    """Shared pi-grid driver for lp-fraction and pca-probe."""
+    """Shared pi-grid driver for lp-fraction and pca-probe: one thread per
+    grid point up to the CPU count (HiGHS releases the GIL)."""
     pis = _grid(args) if args.points > 1 or args.start is not None else [args.pi]
-    workers = args.workers or int(os.environ.get("RANDECON_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return pis, list(pool.map(one_point, pis))
-    return pis, [one_point(pi) for pi in pis]
+    workers = min(len(pis), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return pis, list(pool.map(one_point, pis))
 
 
 def _cmd_lp_fraction(args):
@@ -279,11 +276,6 @@ def _add_tol(sub):
                      help="saddle_residual norm that accepts a root")
 
 
-def _add_workers(sub):
-    sub.add_argument("--workers", type=int, default=None,
-                     help="threads for the pi grid (default: $RANDECON_WORKERS or 1)")
-
-
 def _add_grid(sub):
     sub.add_argument("--from", dest="start", type=float, default=None)
     sub.add_argument("--to", dest="stop", type=float, default=None)
@@ -334,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_grid(p)
     _add_io(p)
-    _add_workers(p)
     p.set_defaults(func=_cmd_lp_fraction)
 
     p = subs.add_parser("pca-probe", help="feasible-set elongation probe")
@@ -345,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_grid(p)
     _add_io(p)
-    _add_workers(p)
     p.set_defaults(func=_cmd_pca_probe)
 
     p = subs.add_parser("validate", help="quick invariant self-checks")
@@ -368,15 +358,13 @@ def _apply_config(args):
             if not hasattr(args, key):
                 raise RandeconError(f"unknown config key: {key}")
             cur = getattr(args, key)
-            if isinstance(cur, bool):
-                val = val.strip().lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
+            if isinstance(cur, int):
                 val = int(val)
             elif isinstance(cur, float):
                 val = float(val)
             else:
                 val = val.strip()
-                if cur is None:           # e.g. start/stop/workers default
+                if cur is None:           # e.g. start/stop default
                     for cast in (int, float):
                         try:
                             val = cast(val)

@@ -10,14 +10,11 @@ feasible production plan.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError
-
-_UTILITIES = ("log",)
 
 
 @dataclass(frozen=True)
@@ -34,20 +31,12 @@ class EnsembleParams:
     pi: float
     f: float
     eps: float
-    utility: str = "log"
 
     def __post_init__(self):
         if not (self.n > 0 and self.eps > 0):
             raise DomainError("n and eps must be strictly positive")
         if not (0.0 <= self.pi <= 1.0 and 0.0 <= self.f <= 1.0):
             raise DomainError("pi and f must lie in [0, 1]")
-        if self.utility not in _UTILITIES:
-            raise DomainError(f"unsupported utility {self.utility!r}")
-
-    @property
-    def intermediate_fraction(self) -> float:
-        """Fraction i = (1 - f)(1 - pi) of goods that are neither primary nor final."""
-        return (1.0 - self.f) * (1.0 - self.pi)
 
     def with_(self, **kwargs) -> "EnsembleParams":
         return replace(self, **kwargs)
@@ -124,39 +113,3 @@ def intermediate_sweep_map(f_over_n: float, pi_over_n: float, i: float,
     f, pi = min(f, 1.0), min(pi, 1.0)
     return EnsembleParams(n=float(n), pi=float(pi), f=float(f), eps=eps)
 
-
-def to_text(econ: EconomyInstance) -> str:
-    """Self-describing columnar dump, exact round trip at 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(f"# randecon economy instance\nN {econ.N}\nC {econ.C}\n")
-    buf.write(f"eps {econ.eps:.17g}\nseed {econ.seed}\n")
-    buf.write("q\n")
-    for row in econ.q:
-        buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    buf.write("x0\n" + " ".join(str(int(v)) for v in econ.x0) + "\n")
-    buf.write("k\n" + " ".join(str(int(v)) for v in econ.k) + "\n")
-    return buf.getvalue()
-
-
-def from_text(text: str) -> EconomyInstance:
-    """Inverse of :func:`to_text`."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    header = {}
-    idx = 0
-    while lines[idx].split()[0] in ("N", "C", "eps", "seed"):
-        key, val = lines[idx].split()
-        header[key] = val
-        idx += 1
-    N, C = int(header["N"]), int(header["C"])
-    if lines[idx] != "q":
-        raise DomainError("malformed instance text: expected 'q' section")
-    q = np.array([[float(v) for v in lines[idx + 1 + r].split()] for r in range(N)])
-    idx += 1 + N
-    if lines[idx] != "x0":
-        raise DomainError("malformed instance text: expected 'x0' section")
-    x0 = np.array([float(v) for v in lines[idx + 1].split()])
-    if lines[idx + 2] != "k":
-        raise DomainError("malformed instance text: expected 'k' section")
-    k = np.array([float(v) for v in lines[idx + 3].split()])
-    return EconomyInstance(N=N, C=C, eps=float(header["eps"]), seed=int(header["seed"]),
-                           q=q, x0=x0, k=k)

@@ -16,8 +16,8 @@ from .ensemble import EnsembleParams
 from .errors import DomainError
 from .gaussian import (QuadratureRule, erfc_half, gauss_moment_I,
                        gaussian_average, std_normal_pdf, truncated_scale_moments)
-from .replica import (DEFAULT_RULE, OrderParams, RescaledParams, SaddleSolution,
-                      psi_exploited, x_star)
+from .replica import (DEFAULT_RULE, OrderParams, SaddleSolution, psi_exploited,
+                      x_star)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -93,17 +93,14 @@ class ObservableSet:
     utility: float        # <u(x*)> over final goods; -inf when they hit zero
 
 
-def conditional_consumption(op, params: EnsembleParams,
+def conditional_consumption(op: OrderParams, params: EnsembleParams,
                             rule: QuadratureRule = DEFAULT_RULE):
     """(x11, x01, x10, x00): mean availability by good class.
 
     Final-good entries are quadratures of x*(t) over the Gaussian field;
     non-final entries have the closed form <max(a, 0)> = w I_1(b) with
-    w = sqrt(n Omega), b = (x0 - kappa)/w.  In the collapsed state
-    nothing operates, so availability is just the endowment: (1, 0, 1, 0).
+    w = sqrt(n Omega), b = (x0 - kappa)/w.
     """
-    if isinstance(op, RescaledParams):
-        return 1.0, 0.0, 1.0, 0.0
     w = np.sqrt(params.n * op.Omega)
     out = []
     for x0 in (1, 0):
@@ -114,15 +111,9 @@ def conditional_consumption(op, params: EnsembleParams,
     return tuple(float(v) for v in out)
 
 
-def utility_per_final_good(op, params: EnsembleParams,
+def utility_per_final_good(op: OrderParams, params: EnsembleParams,
                            rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """<u(x*)> over final goods (log utility).
-
-    Collapsed state: final goods sit at their endowments, so the average
-    is pi*log(1) + (1-pi)*log(0) = -inf unless every good is primary.
-    """
-    if isinstance(op, RescaledParams):
-        return 0.0 if params.pi == 1.0 else float("-inf")
+    """<u(x*)> over final goods (log utility)."""
     vals = []
     for x0 in (1, 0):
         vals.append(gaussian_average(
@@ -132,20 +123,27 @@ def utility_per_final_good(op, params: EnsembleParams,
 
 def observable_set(sol: SaddleSolution,
                    rule: QuadratureRule = DEFAULT_RULE) -> ObservableSet:
+    """Observables of an industrial or collapsed solution.
+
+    In the collapsed state nothing operates: every good keeps its
+    endowment, so (x11, x01, x10, x00) = (1, 0, 1, 0), and the log utility
+    pi log(1) + (1 - pi) log(0) of final goods is -inf unless pi = 1.
+    """
     params = sol.params
     op = sol.op
-    x11, x01, x10, x00 = conditional_consumption(op, params, rule)
-    xc = params.f * (params.pi * x11 + (1.0 - params.pi) * x01)
-    xw = (1.0 - params.f) * (params.pi * x10 + (1.0 - params.pi) * x00)
     if sol.branch == "collapsed":
+        x11, x01, x10, x00 = 1.0, 0.0, 1.0, 0.0
         phi, s1 = 0.0, 0.0
         x_mean = params.pi
         util = 0.0 if params.pi == 1.0 else float("-inf")
     else:
+        x11, x01, x10, x00 = conditional_consumption(op, params, rule)
         phi = active_fraction(op, params.eps)
         s1 = mean_scale(op, params.eps)
         x_mean = params.pi - params.n * params.eps * s1
         util = utility_per_final_good(op, params, rule)
+    xc = params.f * (params.pi * x11 + (1.0 - params.pi) * x01)
+    xw = (1.0 - params.f) * (params.pi * x10 + (1.0 - params.pi) * x00)
     return ObservableSet(phi=phi, s_mean=s1, x_mean=x_mean,
                          x11=x11, x01=x01, x10=x10, x00=x00,
                          consumption=xc, waste=xw, utility=util)

@@ -17,30 +17,30 @@ Both branches are solved as one regular system in
 and delta = chi_hat chi (see regular_residual).  chi enters it only
 through the final-good term chi u'(x*) = (sqrt(a^2 + 4 chi) - a)/2, which
 tends to the clamp gap as chi -> 0, so chi = 0 is an ordinary point.
-There the first five equations are the rescaled system of the collapsed
-branch, independent of the final-good fraction f, and the sixth,
-delta = n phi, holds only at the branch switch pi_s(n, eps).
+There the first five equations are the rescaled chi = 0 system
+(rescaled_residual), independent of the final-good fraction f, and the
+sixth, delta = n phi, holds only at the branch switch pi_s(n, eps).
 
 * industrial: a root with chi > 0;
 * collapsed: no root, and pi at or below the analytic boundary
   pi_c(n, eps) of critical.solve_critical_pi.  Below it every production
-  process shuts down (s* = 0), and that state is reported as
-  TRIVIAL_COLLAPSED.  branch_switch_pi walks the branch down to its
-  chi = 0 end, the independent check of that boundary on this system.
+  process shuts down (s* = 0) and there are no order parameters: the
+  label alone is the state.  branch_switch_pi walks the branch down to
+  its chi = 0 end, the independent check of that boundary on this system.
 
 Every root is found by Powell's hybrid method on this one system, in
 coordinates scaled by eps (plain damped fixed-point iteration diverges:
 the fixed-point map has an expanding eigendirection along
 (Omega, kappa, chi)).  A solve that establishes neither label raises
 NoConvergenceError; sweeps use warm-started continuation and record such
-points as "failed".  saddle_residual and rescaled_residual state the
-chi > 0 and chi = 0 equations in the original variables; the solver uses
+points as "failed".  saddle_residual states the chi > 0 equations in the
+original variables, rescaled_residual the chi = 0 ones; the solver uses
 saddle_residual only to accept an industrial root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -70,30 +70,10 @@ class OrderParams:
 
 
 @dataclass(frozen=True)
-class RescaledParams:
-    """Order parameters at chi = 0 in the rescaled coordinates.
-
-    ell = p chi, gamma = sigma chi and delta = chi_hat chi stay finite as
-    chi -> 0 while p, sigma and chi_hat themselves diverge.  The collapsed
-    phase is reported as the one state TRIVIAL_COLLAPSED; other values are
-    points at which rescaled_residual is evaluated.
-    """
-
-    Omega: float
-    kappa: float
-    ell: float
-    gamma: float
-    delta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Omega, self.kappa, self.ell, self.gamma, self.delta])
-
-
-@dataclass(frozen=True)
 class SaddleSolution:
     params: EnsembleParams
     branch: str  # "industrial", "collapsed", or "failed" in a sweep
-    op: Union[OrderParams, RescaledParams]
+    op: Optional[OrderParams]  # None unless the branch is "industrial"
     residual_norm: float
     iterations: int
 
@@ -196,21 +176,27 @@ def saddle_residual(op: OrderParams, params: EnsembleParams,
     ])
 
 
-def rescaled_residual(op: RescaledParams, params: EnsembleParams) -> np.ndarray:
-    """Residuals of the five chi = 0 equations (f drops out entirely)."""
-    if min(op.gamma, op.delta, op.Omega) <= 0:
+def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
+    """Residuals of the five chi = 0 equations (f drops out entirely).
+
+    u = (Omega, kappa, ell, gamma, delta) with ell = p chi, gamma = sigma chi
+    and delta = chi_hat chi, which stay finite as chi -> 0 while p, sigma
+    and chi_hat diverge.
+    """
+    omega, kappa, ell, gamma, delta = np.asarray(u, dtype=float)
+    if min(gamma, delta, omega) <= 0:
         raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
-    m1, mt, m2 = _moments(op.Omega, op.kappa, 0.0, params.n, params.pi, params.f, None)
-    phi, s1, st, s2 = truncated_scale_moments(op.ell, op.gamma, op.delta, params.eps)
-    rad = m2 - op.ell**2
+    m1, mt, m2 = _moments(omega, kappa, 0.0, params.n, params.pi, params.f, None)
+    phi, s1, st, s2 = truncated_scale_moments(ell, gamma, delta, params.eps)
+    rad = m2 - ell**2
     if rad < 0:
         raise DomainError("gamma-equation radicand is negative")
     return np.array([
-        op.ell - m1,
-        op.delta - mt / np.sqrt(params.n * op.Omega),
-        op.gamma - np.sqrt(rad),
-        op.Omega - s2,
-        op.kappa - op.ell - params.n * params.eps * s1,
+        ell - m1,
+        delta - mt / np.sqrt(params.n * omega),
+        gamma - np.sqrt(rad),
+        omega - s2,
+        kappa - ell - params.n * params.eps * s1,
     ])
 
 
@@ -407,12 +393,6 @@ def _solution(params, branch, op, norm, evals):
                           iterations=evals)
 
 
-#: the collapsed s* = 0 state: all rescaled parameters vanish; delta is
-#: scale-indeterminate in that limit and reported as NaN.
-TRIVIAL_COLLAPSED = RescaledParams(Omega=0.0, kappa=0.0, ell=0.0, gamma=0.0,
-                                   delta=float("nan"))
-
-
 def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
                  rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10,
                  max_iter: int = 150) -> SaddleSolution:
@@ -422,8 +402,8 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
     then from the two cold starts.  A root with chi > 0, <s*> > 0 and
     saddle_residual norm <= tol is labelled "industrial".  Failing that,
     the analytic boundary pi_c(n, eps) (critical.solve_critical_pi)
-    decides: pi <= pi_c is "collapsed", with state TRIVIAL_COLLAPSED and
-    residual 0; above it the root at (n, pi) = (2, 0.65) is continued to
+    decides: pi <= pi_c is "collapsed", with no order parameters
+    (op None) and residual 0; above it the root at (n, pi) = (2, 0.65) is continued to
     the requested point.  When pi_c does not exist (NoRootError), only the
     industrial search runs.  ``max_iter`` is the budget of residual
     evaluations of each root solve; ``iterations`` counts the evaluations
@@ -447,7 +427,7 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
     except NoRootError:
         pi_c = None
     if pi_c is not None and pi <= pi_c:
-        return _solution(params, "collapsed", TRIVIAL_COLLAPSED, 0.0, search.evals)
+        return _solution(params, "collapsed", None, 0.0, search.evals)
     for z0 in starts:
         anchor = search.industrial(z0, *_ANCHOR)
         if anchor is not None:
@@ -501,7 +481,7 @@ def sweep(params_grid: Sequence[EnsembleParams], rule: QuadratureRule = DEFAULT_
             warm = None
             continue
         out.append(sol)
-        warm = sol.op if sol.branch == "industrial" else None
+        warm = sol.op
     return out
 
 
@@ -511,8 +491,9 @@ SOLUTION_CSV_COLUMNS = ("n", "pi", "f", "eps", "branch", "Omega", "kappa",
 
 def solution_csv_rows(solutions: Sequence[SaddleSolution]):
     """CSV rows (n, pi, f, eps, branch, Omega, kappa, p, sigma, chi, chi_hat,
-    residual, iters); the collapsed branch stores the rescaled (ell, gamma,
-    delta) in the (p, sigma, chi_hat) columns with chi = 0."""
+    residual, iters).  A collapsed row has no order parameters and carries
+    the fixed cells (0, 0, 0, 0, 0, nan): nothing operates, and chi_hat is
+    scale-indeterminate as s* -> 0.  A failed row is NaN throughout."""
     rows = []
     for sol in solutions:
         pr = sol.params
@@ -520,8 +501,7 @@ def solution_csv_rows(solutions: Sequence[SaddleSolution]):
             op = sol.op
             vals = (op.Omega, op.kappa, op.p, op.sigma, op.chi, op.chi_hat)
         elif sol.branch == "collapsed":
-            op = sol.op
-            vals = (op.Omega, op.kappa, op.ell, op.gamma, 0.0, op.delta)
+            vals = (0.0, 0.0, 0.0, 0.0, 0.0, np.nan)
         else:
             vals = (np.nan,) * 6
         rows.append((pr.n, pr.pi, pr.f, pr.eps, sol.branch, *vals,

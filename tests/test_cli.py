@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from randecon.cli import _fmt_cell
+from randecon.ensemble import EnsembleParams
+from randecon.finite import lp_feasibility_fraction
 
 CLI = [sys.executable, "-m", "randecon"]
 
@@ -109,6 +114,14 @@ class TestFiniteCommands:
         assert all(0.0 <= x <= 1.0 for x in fracs)
         # fraction grows with the primary share
         assert fracs == sorted(fracs)
+        # the pi grid runs in a thread pool; its rows are the serial records
+        params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
+        want = []
+        for pi in np.linspace(0.2, 0.6, 3):
+            r = lp_feasibility_fraction(params.with_(pi=float(pi)), 40, 5, 0)
+            want.append(",".join(_fmt_cell(v) for v in (
+                r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)))
+        assert rows[1:] == want
 
     def test_pca_probe(self):
         proc = run_cli("pca-probe", "--n", "1", "--pi", "0.6", "--f", "0.5",
@@ -168,6 +181,13 @@ class TestPlumbing:
         proc = run_cli(command, "--tol", "1e-8", check=False)
         assert proc.returncode == 2
         assert "--tol" in proc.stderr
+
+    @pytest.mark.parametrize("command", ("lp-fraction", "pca-probe"))
+    def test_no_workers_flag(self, command):
+        # the pi-grid pool is sized from the machine, not from a flag
+        proc = run_cli(command, "--workers", "2", check=False)
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr
 
     def test_invalid_params_exit_2(self):
         proc = run_cli("saddle", "--n", "-1", "--pi", "0.65", "--f", "0.5",

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from randecon.ensemble import (EconomyInstance, EnsembleParams, from_text,
-                               intermediate_sweep_map, sample_economy, to_text)
+from randecon.ensemble import (EconomyInstance, EnsembleParams,
+                               intermediate_sweep_map, sample_economy)
 from randecon.errors import DomainError
 
 
 class TestEnsembleParams:
     def test_valid(self):
         p = EnsembleParams(n=1.5, pi=0.6, f=0.5, eps=0.1)
-        assert p.intermediate_fraction == pytest.approx(0.5 * 0.4)
+        assert (1 - p.f) * (1 - p.pi) == pytest.approx(0.5 * 0.4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=0.0, pi=0.5, f=0.5, eps=0.1),
         dict(n=1.0, pi=1.5, f=0.5, eps=0.1),
         dict(n=1.0, pi=0.5, f=-0.1, eps=0.1),
         dict(n=1.0, pi=0.5, f=0.5, eps=0.0),
-        dict(n=1.0, pi=0.5, f=0.5, eps=0.1, utility="quadratic"),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -78,16 +77,6 @@ class TestSampleEconomy:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        econ = sample_economy(EnsembleParams(n=1.3, pi=0.4, f=0.5, eps=0.07),
-                              C=20, seed=42)
-        back = from_text(to_text(econ))
-        assert back.N == econ.N and back.C == econ.C and back.seed == econ.seed
-        assert back.eps == econ.eps
-        assert np.array_equal(back.q, econ.q)
-        assert np.array_equal(back.x0, econ.x0)
-        assert np.array_equal(back.k, econ.k)
-
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             EconomyInstance(N=2, C=2, eps=0.1, seed=0,
@@ -102,7 +91,7 @@ class TestIntermediateSweepMap:
 
     def test_roundtrip(self):
         params = intermediate_sweep_map(0.3, 0.4, 0.35)
-        assert params.intermediate_fraction == pytest.approx(0.35, abs=1e-12)
+        assert (1 - params.f) * (1 - params.pi) == pytest.approx(0.35, abs=1e-12)
         assert params.f / params.n == pytest.approx(0.3, abs=1e-12)
         assert params.pi / params.n == pytest.approx(0.4, abs=1e-12)
 

@@ -6,8 +6,8 @@ from randecon.ensemble import EnsembleParams
 from randecon.observables import (ObservableSet, active_fraction,
                                   conditional_consumption, goods_atom,
                                   goods_density, mean_scale, observable_set,
-                                  scale_density, utility_per_final_good)
-from randecon.replica import OrderParams, RescaledParams, solve_saddle
+                                  scale_density)
+from randecon.replica import OrderParams, SaddleSolution, solve_saddle
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
 
@@ -114,10 +114,17 @@ class TestObservableSet:
         assert obs.x_mean == pytest.approx(want, abs=1e-6)
 
 
+def collapsed(params):
+    return SaddleSolution(params=params, branch="collapsed", op=None,
+                          residual_norm=0.0, iterations=0)
+
+
 class TestCollapsedBranch:
     def test_conditional_consumption(self):
-        op = RescaledParams(0.0, 0.0, 0.0, 0.0, float("nan"))
-        assert conditional_consumption(op, PARAMS) == (1.0, 0.0, 1.0, 0.0)
+        # nothing operates: every good keeps its endowment
+        obs = observable_set(collapsed(PARAMS))
+        assert (obs.x11, obs.x01, obs.x10, obs.x00) == (1.0, 0.0, 1.0, 0.0)
+        assert (obs.phi, obs.s_mean, obs.x_mean) == (0.0, 0.0, PARAMS.pi)
 
     def test_aggregates(self):
         sol = solve_saddle(EnsembleParams(n=0.2, pi=0.05, f=0.5, eps=0.1))
@@ -128,11 +135,10 @@ class TestCollapsedBranch:
         assert obs.utility == float("-inf")
 
     def test_utility_all_primary(self):
-        op = RescaledParams(0.0, 0.0, 0.0, 0.0, float("nan"))
-        assert utility_per_final_good(
-            op, EnsembleParams(n=0.2, pi=1.0, f=0.5, eps=0.1)) == 0.0
-        assert utility_per_final_good(
-            op, EnsembleParams(n=0.2, pi=0.4, f=0.5, eps=0.1)) == float("-inf")
+        assert observable_set(collapsed(
+            EnsembleParams(n=0.2, pi=1.0, f=0.5, eps=0.1))).utility == 0.0
+        assert observable_set(collapsed(
+            EnsembleParams(n=0.2, pi=0.4, f=0.5, eps=0.1))).utility == float("-inf")
 
 
 class TestJumpDecomposition:

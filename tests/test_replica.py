@@ -9,10 +9,10 @@ from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError, NoConvergenceError, NoRootError
 from randecon.gaussian import gauss_hermite_rule, std_normal_pdf
 from randecon.replica import (DEFAULT_RULE, SOLUTION_CSV_COLUMNS, OrderParams,
-                              RescaledParams, branch_switch_pi, moments_M,
-                              psi_exploited, regular_residual,
-                              rescaled_residual, saddle_residual,
-                              solution_csv_rows, solve_saddle, sweep, x_star)
+                              branch_switch_pi, moments_M, psi_exploited,
+                              regular_residual, rescaled_residual,
+                              saddle_residual, solution_csv_rows, solve_saddle,
+                              sweep, x_star)
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
 
@@ -155,41 +155,41 @@ class TestSaddleSolve:
         a = solve_saddle(EnsembleParams(n=1.0, pi=0.31, f=0.2, eps=0.1))
         b = solve_saddle(EnsembleParams(n=1.0, pi=0.31, f=0.8, eps=0.1))
         assert a.branch == b.branch == "collapsed"
-        np.testing.assert_allclose(a.op.as_array(), b.op.as_array(), atol=1e-8)
+        assert a.op is b.op is None
 
     def test_collapsed_sentinel_shape(self):
-        # below the switch every process shuts down; the sentinel encodes
-        # that state with residual zero, near the line and deep below it
+        # below the switch every process shuts down; the label alone is the
+        # state, with residual zero, near the line and deep below it
         pi_c = solve_critical_pi(1.0, 0.1).pi_c
         for pi in (0.31, pi_c - 1e-3, pi_c - 1e-2, pi_c - 0.1):
             sol = solve_saddle(EnsembleParams(n=1.0, pi=pi, f=0.5, eps=0.1))
             assert sol.branch == "collapsed"
-            assert sol.op is replica.TRIVIAL_COLLAPSED
+            assert sol.op is None
             assert sol.residual_norm == 0.0
 
     def test_rescaled_residual_definition(self):
         # independent recomputation of the five chi=0 residuals
         from randecon.gaussian import (gauss_moment_I,
                                        truncated_scale_moments)
-        op = RescaledParams(Omega=0.2, kappa=0.4, ell=0.1, gamma=0.7, delta=1.1)
+        omega, kappa, ell, gamma, delta = 0.2, 0.4, 0.1, 0.7, 1.1
         params = EnsembleParams(n=1.5, pi=0.3, f=0.5, eps=0.1)
-        w = np.sqrt(params.n * op.Omega)
+        w = np.sqrt(params.n * omega)
         m1 = mt = m2 = 0.0
         for x0, wx in ((0.0, 1 - params.pi), (1.0, params.pi)):
-            b = (op.kappa - x0) / w
+            b = (kappa - x0) / w
             m1 += wx * w * gauss_moment_I(1, b)
             mt += wx * w * gauss_moment_I(0, b)
             m2 += wx * w ** 2 * gauss_moment_I(2, b)
-        _, s1, _, s2 = truncated_scale_moments(op.ell, op.gamma, op.delta,
-                                               params.eps)
+        _, s1, _, s2 = truncated_scale_moments(ell, gamma, delta, params.eps)
         want = np.array([
-            op.ell - m1,
-            op.delta - mt / w,
-            op.gamma - np.sqrt(m2 - op.ell ** 2),
-            op.Omega - s2,
-            op.kappa - op.ell - params.n * params.eps * s1,
+            ell - m1,
+            delta - mt / w,
+            gamma - np.sqrt(m2 - ell ** 2),
+            omega - s2,
+            kappa - ell - params.n * params.eps * s1,
         ])
-        np.testing.assert_allclose(rescaled_residual(op, params), want,
+        u = np.array([omega, kappa, ell, gamma, delta])
+        np.testing.assert_allclose(rescaled_residual(u, params), want,
                                    atol=1e-12)
 
     def test_residual_domain_errors(self):
@@ -198,7 +198,7 @@ class TestSaddleSolve:
         with pytest.raises(DomainError):
             saddle_residual(bad, PARAMS)
         with pytest.raises(DomainError):
-            rescaled_residual(RescaledParams(0.1, 0.1, 0.1, -1.0, 1.0), PARAMS)
+            rescaled_residual([0.1, 0.1, 0.1, -1.0, 1.0], PARAMS)
 
 
 class TestSweep:
@@ -225,8 +225,11 @@ class TestSweep:
         assert all(len(r) == 13 for r in rows)
         collapsed = rows[1]
         assert collapsed[4] == "collapsed"
-        # chi column holds exactly zero on the collapsed branch
-        assert collapsed[9] == 0.0
+        # a collapsed row carries fixed cells: (Omega, kappa, p, sigma, chi)
+        # are exactly zero, chi_hat is NaN, and the residual is zero
+        assert collapsed[5:10] == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert np.isnan(collapsed[10])
+        assert collapsed[11] == 0.0
 
 
 class TestRegularSystem:
@@ -240,10 +243,10 @@ class TestRegularSystem:
                                    atol=1e-12)
 
     def test_chi_zero_rows_are_rescaled_rows(self):
-        op = RescaledParams(Omega=0.2, kappa=0.4, ell=0.1, gamma=0.7, delta=1.1)
+        u = [0.2, 0.4, 0.1, 0.7, 1.1]
         params = EnsembleParams(n=1.5, pi=0.3, f=0.5, eps=0.1)
-        resid = regular_residual([*op.as_array(), 0.0], params)
-        np.testing.assert_allclose(resid[:5], rescaled_residual(op, params),
+        resid = regular_residual([*u, 0.0], params)
+        np.testing.assert_allclose(resid[:5], rescaled_residual(u, params),
                                    atol=1e-15)
 
     def test_continuous_at_chi_zero(self):
@@ -294,7 +297,7 @@ class TestPhaseLabels:
         # pi_c is about 4e-5 here; the walk down in chi never reached chi = 0
         sol = solve_saddle(EnsembleParams(n=8.0, pi=0.0, f=0.5, eps=0.01))
         assert sol.branch == "collapsed"
-        assert sol.op is replica.TRIVIAL_COLLAPSED
+        assert sol.op is None
 
     def test_labels_need_no_chi_zero_solve(self, monkeypatch):
         def unreachable(*args):
