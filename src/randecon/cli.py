@@ -12,8 +12,9 @@ validate       quick self-check suite; nonzero exit on any failure
 
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
-byte-identical apart from the timestamp line.  Defaults can be loaded
-from a plain ``key=value`` file via ``--config``.
+byte-identical apart from the timestamp line and lp-fraction's count of
+solved LPs (``lps``).  Defaults can be loaded from a plain ``key=value``
+file via ``--config``.
 """
 from __future__ import annotations
 
@@ -180,7 +181,10 @@ def _cmd_lp_fraction(args):
     rows = [(r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)
             for r in recs]
     failures = sum(r.failures for r in recs)
-    _emit(args.output, _meta(args, "lp-fraction"), cols, rows, args.format)
+    # LPs solved over the grid; the rest were settled by the remembered
+    # cone thresholds, so the count varies with the threads' interleaving
+    meta = dict(_meta(args, "lp-fraction"), lps=sum(r.lps for r in recs))
+    _emit(args.output, meta, cols, rows, args.format)
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
 

@@ -16,7 +16,10 @@ Three numerical experiments on sampled economies:
   {s >= 0 : (q^T s)_c >= 0 for non-primary c} contain more than the
   origin?  A bounded LP answers per instance; the fraction over trials
   estimates the probability, which drops from 1 to 0 across the
-  critical line.
+  critical line.  At a fixed seed the primary sets are nested in pi, so
+  each trial's cone opens at one count of primary goods.  The module
+  remembers, for the most recent scan line only, a bracket on that count
+  per trial, and answers without an LP the trials the bracket settles.
 * ``pca_probe``: samples vertices of the full feasible polytope by
   maximizing random linear objectives, and measures the elongation of
   the sampled cloud by the top eigenvalue of its correlation matrix.
@@ -237,7 +240,14 @@ def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution,
     equals the value of endowments.  excess_supply: wasted non-final
     goods are free.  capacity: at most C activities operate, and total
     scale is bounded by (number of primary goods)/eps.
+
+    Only an optimum has prices to certify: a solution with any other
+    status (an "infeasible" economy, whose utility is -inf) raises
+    ``DomainError``.
     """
+    if sol.status != "optimal":
+        raise DomainError(f"cannot certify a solution with status "
+                          f"{sol.status!r}: it has no equilibrium prices")
     q, x0, k = econ.q, econ.x0, econ.k.astype(bool)
     s, x, p = sol.s_star, sol.x_star, sol.duals
     scale = float(np.linalg.norm(p)) + 1e-300
@@ -351,10 +361,19 @@ class FeasibilityRecord:
     trials: int
     feasible_count: int
     failures: int
+    lps: int                  # LPs solved; the other trials were bracketed
 
     @property
     def fraction(self) -> float:
         return self.feasible_count / self.trials
+
+
+#: the scan line whose cone thresholds are remembered, as one tuple
+#: (key, brackets) with key (N, C, eps, base_seed, threshold) and
+#: brackets {trial index: (largest primary count known shut, smallest
+#: known open)}; swapped whole, so a call never writes into another
+#: line's brackets
+_scan_line = (None, {})
 
 
 def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
@@ -366,14 +385,45 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     non-primary good c and 0 <= s_i <= 1.  The origin is always
     admissible, so the LP never fails for feasibility reasons; the trial
     counts as feasible when the optimum exceeds ``threshold``.
+
+    ``sample_economy`` draws q and the endowment uniforms before the
+    preferences, and reads neither pi nor f to draw them.  So along one
+    scan line (fixed N, C, eps, base seed and threshold) a trial's
+    primary set grows with pi, its cone only widens, and the cone opens
+    at a single primary count k*.  The module keeps, for the most recent
+    line only, a bracket per trial: the largest primary count m whose LP
+    said shut and the smallest that said open.  A trial with m at or
+    below the first is infeasible and one at or above the second
+    feasible, without an LP; any other trial solves the LP and tightens
+    its bracket.  So a call never solves more LPs than trials, and every
+    answer is an LP's or follows from one by monotonicity.  A call on
+    another line starts that line's brackets afresh, so repeating a scan
+    over several lines costs every LP again.  Concurrent calls on one
+    line may lose a bracket update, which costs an LP and never changes
+    an answer.
     """
+    global _scan_line
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    feasible = failures = 0
+    key = (int(round(params.n * C)), C, params.eps, base_seed, threshold)
+    line = _scan_line
+    if line[0] != key:
+        line = (key, {})
+        _scan_line = line
+    brackets, unknown = line[1], (-1, C + 1)
+    feasible = failures = lps = 0
     N = None
     for idx in range(trials):
         econ = sample_economy(params, C, base_seed + idx)
         N = econ.N
+        m = int(econ.x0.sum())
+        shut, open_ = brackets.get(idx, unknown)
+        if m <= shut:
+            continue
+        if m >= open_:
+            feasible += 1
+            continue
+        lps += 1
         non_primary = econ.x0 == 0
         a_ub = -econ.q.T[non_primary]
         res = linprog(-np.ones(econ.N), A_ub=a_ub if a_ub.size else None,
@@ -382,11 +432,16 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
         if res.status != 0:
             failures += 1
             continue
+        # re-read: another thread on this line may have tightened it
+        shut, open_ = brackets.get(idx, unknown)
         if -res.fun > threshold:
             feasible += 1
+            brackets[idx] = (shut, min(open_, m))
+        else:
+            brackets[idx] = (max(shut, m), open_)
     return FeasibilityRecord(n=params.n, pi=params.pi, eps=params.eps, N=N,
                              trials=trials, feasible_count=feasible,
-                             failures=failures)
+                             failures=failures, lps=lps)
 
 
 @dataclass(frozen=True)

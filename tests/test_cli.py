@@ -122,6 +122,10 @@ class TestFiniteCommands:
             want.append(",".join(_fmt_cell(v) for v in (
                 r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)))
         assert rows[1:] == want
+        # the LPs solved over the grid: at most one per trial and point
+        lps = [line for line in proc.stdout.splitlines()
+               if line.startswith("# lps = ")]
+        assert len(lps) == 1 and 1 <= int(lps[0].split("=")[1]) <= 15
 
     def test_pca_probe(self):
         proc = run_cli("pca-probe", "--n", "1", "--pi", "0.6", "--f", "0.5",

@@ -1,10 +1,15 @@
+import functools
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor
+from scipy.optimize import linprog
 
 import randecon
 from randecon import finite
@@ -173,6 +178,16 @@ class TestCertification:
         sol = solve_equilibrium(econ)
         assert np.sum(sol.s_star > ACTIVE_THRESHOLD) <= econ.C
 
+    def test_infeasible_solution_is_refused(self):
+        # an empty-interior economy has no equilibrium prices; its
+        # placeholder duals leave an activity with profit 0.34
+        econ = sample_economy(EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1),
+                              C=29, seed=773660801)
+        sol = solve_equilibrium(econ)
+        assert sol.status == "infeasible"
+        with pytest.raises(DomainError, match="infeasible"):
+            certify_equilibrium(econ, sol)
+
 
 class TestMonteCarlo:
     def test_repeatability(self):
@@ -201,7 +216,108 @@ class TestMonteCarlo:
         assert out.utility == float("-inf")
 
 
+@functools.cache
+def per_pi_feasibility(params, C, trials, base_seed, threshold=1e-6):
+    """Oracle of ``lp_feasibility_fraction``: one cone LP for every trial,
+    nothing remembered between calls.  Returns (feasible, failures)."""
+    feasible = failures = 0
+    for idx in range(trials):
+        econ = sample_economy(params, C, base_seed + idx)
+        non_primary = econ.x0 == 0
+        a_ub = -econ.q.T[non_primary]
+        res = linprog(-np.ones(econ.N), A_ub=a_ub if a_ub.size else None,
+                      b_ub=np.zeros(int(non_primary.sum())) if a_ub.size else None,
+                      bounds=(0.0, 1.0), method="highs-ds")
+        if res.status != 0:
+            failures += 1
+        elif -res.fun > threshold:
+            feasible += 1
+    return feasible, failures
+
+
+#: scan lines as (params at any pi and f, base seed): line 0, and lines
+#: that differ from it in one part of the remembered key
+LINE = (EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1), 300)
+OTHER_LINES = {"eps": (LINE[0].with_(eps=0.01), 300),
+               "seed": (LINE[0], 301),
+               "N": (LINE[0].with_(n=2.0), 300)}
+LINES = (LINE, OTHER_LINES["N"])
+
+
+def scan(line, pis, C, trials):
+    params, seed = LINES[line]
+    return [lp_feasibility_fraction(params.with_(pi=float(pi)), C, trials, seed)
+            for pi in pis]
+
+
 class TestFeasibilityFraction:
+    @settings(max_examples=25, deadline=None)
+    @given(C=st.integers(10, 30), other=st.sampled_from(sorted(OTHER_LINES)),
+           calls=st.lists(st.tuples(st.booleans(),
+                                    st.one_of(st.sampled_from((0.0, 1.0)),
+                                              st.floats(0.0, 1.0)),
+                                    st.sampled_from((0.25, 0.75))),
+                          min_size=1, max_size=8))
+    def test_matches_per_pi_oracle(self, C, other, calls):
+        # any pi order, the ends of the line included, two lines interleaved
+        for on_other, pi, f in calls:
+            params, seed = OTHER_LINES[other] if on_other else LINE
+            params = params.with_(pi=pi, f=f)
+            rec = lp_feasibility_fraction(params, C, 6, seed)
+            assert (rec.feasible_count, rec.failures) == per_pi_feasibility(
+                params, C, 6, seed)
+            assert 0 <= rec.lps <= rec.trials
+
+    @pytest.mark.parametrize("other", sorted(OTHER_LINES))
+    def test_lines_do_not_share_brackets(self, other):
+        # a fine grid up and then down tightens every bracket to k*; the
+        # next line must not read them
+        pis = np.linspace(0.0, 1.0, 31)
+        for order in (pis, pis[::-1]):
+            for params, seed in (LINE, OTHER_LINES[other]):
+                for pi in order:
+                    point = params.with_(pi=float(pi))
+                    rec = lp_feasibility_fraction(point, 30, 8, seed)
+                    assert (rec.feasible_count, rec.failures) == (
+                        per_pi_feasibility(point, 30, 8, seed))
+
+    def test_repeat_at_one_point_solves_nothing(self):
+        params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
+        first = lp_feasibility_fraction(params, C=40, trials=10, base_seed=510)
+        again = lp_feasibility_fraction(params, C=40, trials=10, base_seed=510)
+        assert first.lps == 10 and again.lps == 0
+        assert again.feasible_count == first.feasible_count
+
+    def test_repeated_scan_starts_cold(self):
+        # only the most recent line is remembered: B, A, B, A pays for
+        # A's LPs twice
+        pis = np.linspace(0.0, 1.0, 9)
+        scan(1, pis, 30, 8)
+        a_first = scan(0, pis, 30, 8)
+        scan(1, pis, 30, 8)
+        a_again = scan(0, pis, 30, 8)
+        assert a_first == a_again          # lps included
+        assert sum(r.lps for r in a_first) < 8 * len(pis)
+
+    def test_concurrent_lines_give_serial_records(self):
+        # more threads than cores, two per line, switching often: lost
+        # bracket updates may cost LPs but must never change an answer
+        pis = np.linspace(0.1, 0.9, 7)
+        serial = [scan(line, pis, 30, 8) for line in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(scan, line, pis, 30, 8)
+                           for line in (0, 1, 0, 1)]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for line, recs in zip((0, 1, 0, 1), threaded):
+            assert all(r.lps <= r.trials for r in recs)
+            assert ([replace(r, lps=0) for r in recs]
+                    == [replace(r, lps=0) for r in serial[line]])
+
     def test_pi_one(self):
         rec = lp_feasibility_fraction(PARAMS.with_(pi=1.0), C=30, trials=10,
                                       base_seed=0)
