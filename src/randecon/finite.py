@@ -4,14 +4,16 @@ Three numerical experiments on sampled economies:
 
 * ``solve_equilibrium``: the consumer's concave program
   max_{s >= 0} sum_c k_c log(x0_c + (q^T s)_c), subject to nonnegative
-  availability of every good, via Mehrotra's predictor-corrector
-  primal-dual interior-point method.  Shadow prices are the method's
-  dual variables; the loop stops once mean complementarity, stationarity
-  and availability residuals are at rounding level, and the prices are
+  availability of every good, via Mehrotra's infeasible-start
+  predictor-corrector primal-dual interior-point method, started from
+  all-ones.  Shadow prices are the method's dual variables; the loop
+  stops once the largest complementarity product, the stationarity and
+  the availability residuals are at rounding level, and the prices are
   certified against the KKT conditions (zero profit, complementary
-  slackness, Walras' law).  At N~100 the result is bit-identical at any
-  BLAS thread count; at N >= 200 it is reproducible only at a fixed
-  thread count.
+  slackness, Walras' law).  An LP runs only when the loop stalls or
+  fails, to confirm that the feasible set has an empty interior.  At
+  N~100 the result is bit-identical at any BLAS thread count; at
+  N >= 200 it is reproducible only at a fixed thread count.
 * ``lp_feasibility_fraction``: does the homogeneous cone
   {s >= 0 : (q^T s)_c >= 0 for non-primary c} contain more than the
   origin?  A bounded LP answers per instance; the fraction over trials
@@ -41,13 +43,20 @@ ACTIVE_THRESHOLD = 1e-4
 
 #: stop rule of the primal-dual loop, in the infinity norm: every
 #: complementarity product s_i z_i and w_c p_c, the stationarity residual
-#: and the non-final availability residual x0 + q^T s - w
+#: and the availability residual x0 + q^T s - w
 _COMPLEMENTARITY_TOL = 1e-12
 _STATIONARITY_TOL = 1e-7
 _AVAILABILITY_TOL = 1e-12
 _MAX_ITER = 100
 #: fraction of the way to the boundary of the positive orthant taken per step
 _STEP_FRACTION = 0.99
+#: stall test: a loop that after this many iterations still carries more
+#: than this fraction of its starting availability residual asks the
+#: phase-one LP whether the feasible set has an interior at all.  Empty
+#: interiors keep 1e-4 or more here; a feasible economy keeps that much
+#: only when its interior is thin, and then the loop goes on
+_STALL_ITER = 10
+_STALL_LEFT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -56,9 +65,11 @@ class EquilibriumSolution:
     x_star: np.ndarray = field(repr=False)   # (C,)
     duals: np.ndarray = field(repr=False)    # (C,) shadow prices
     objective: float
-    kkt_residual: float
+    kkt_residual: float                      # NaN when there is no KKT point
     status: str = "optimal"                  # or "infeasible" (utility -inf)
-    newton_steps: int = 0                    # Cholesky factorisations; 0 if none ran
+    newton_steps: int = 0                    # Cholesky factorisations, also
+                                             # those before an empty interior
+                                             # was confirmed
 
     @property
     def active_set(self) -> np.ndarray:
@@ -69,14 +80,15 @@ class EquilibriumSolution:
         return int(np.count_nonzero(self.s_star > ACTIVE_THRESHOLD))
 
 
-def _phase_one(q: np.ndarray, x0: np.ndarray, eps: float):
-    """Strictly feasible start: LP max t s.t. x0 + q^T s >= t, 0 <= s <= S.
+def _empty_interior(econ: EconomyInstance) -> bool:
+    """Whether the feasible set has empty interior (a collapsed instance).
 
-    Returns (s0, t*) with every availability at least t* at s0; t* <= 0
-    means the feasible set has empty interior (collapsed instance).
+    The phase-one LP maximizes the smallest availability t <= 0.25 of
+    x0 + q^T s over 0 <= s <= S; the interior is empty when t* <= 1e-7.
     """
+    q, x0 = econ.q, econ.x0
     n_act, n_goods = q.shape
-    s_cap = float(x0.sum()) / eps + 1.0
+    s_cap = float(x0.sum()) / econ.eps + 1.0
     # variables (s_1..s_N, t); linprog minimizes, so objective is -t
     c = np.zeros(n_act + 1)
     c[-1] = -1.0
@@ -86,51 +98,60 @@ def _phase_one(q: np.ndarray, x0: np.ndarray, eps: float):
                   method="highs-ds")
     if res.status != 0:
         raise NoConvergenceError(f"phase-one LP failed: {res.message}")
-    s0, t = res.x[:-1], float(res.x[-1])
-    if t <= 1e-7:
-        return s0, t
-    # push s strictly inside without losing more than half the margin
-    drift = q.sum(axis=0)     # d(x)/d(uniform s shift)
-    worst = float(np.abs(drift).max()) + 1e-12
-    delta = min(1e-4, 0.5 * t / worst)
-    return s0 + delta, t
+    return float(res.x[-1]) <= 1e-7
 
 
-def _max_step(pairs) -> float:
+def _no_equilibrium(econ: EconomyInstance,
+                    newton_steps: int) -> EquilibriumSolution:
+    """The answer for a feasible set with empty interior: s* = 0 and,
+    unless every final good is primary, utility -inf ("infeasible")."""
+    x, k = econ.x0.copy(), econ.k.astype(bool)
+    stuck = k & (x <= 0)
+    return EquilibriumSolution(
+        s_star=np.zeros(econ.N), x_star=x,
+        duals=np.where(k & (x > 0), 1.0 / np.where(x > 0, x, 1.0), 0.0),
+        objective=float("-inf") if stuck.any() else 0.0,
+        kkt_residual=float("nan"),
+        status="infeasible" if stuck.any() else "optimal",
+        newton_steps=newton_steps)
+
+
+def _max_step(val: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha <= 1 keeping every val + alpha * dv nonnegative."""
-    alpha = 1.0
-    for val, dv in pairs:
-        shrink = dv < 0
-        if np.any(shrink):
-            alpha = min(alpha, float(np.min(-val[shrink] / dv[shrink])))
-    return alpha
+    shrink = dv < 0
+    return min(1.0, float(np.min(-val[shrink] / dv[shrink], initial=np.inf)))
 
 
 def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     """Equilibrium scales, availabilities and shadow prices of one instance.
 
     Maximizes sum_{c final} log x_c over s >= 0 with x = x0 + q^T s and
-    the non-final availabilities w = x_c >= 0 by Mehrotra's
+    the non-final availabilities x_c >= 0 by Mehrotra's infeasible-start
     predictor-corrector primal-dual method (Wright, *Primal-Dual
-    Interior-Point Methods*, 1997).  The unknowns are s, its duals z,
-    the slacks w and their prices p; w is a variable of its own because
-    x0 + q^T s loses a tiny availability to cancellation.  The loop
-    starts from the phase-one scales with z = p = 1.  Each iteration
-    factors the reduced Hessian q D q^T + diag(z/s) once, with
-    D_c = 1/x_c^2 for final goods and p_c/w_c for non-final goods, and
-    solves with it twice (predictor, then centred corrector).  The loop
-    stops when every complementarity product s_i z_i and w_c p_c is
-    below 1e-12, the stationarity residual q (1/x_final, p) + z below
-    1e-7 and x0 + q^T s - w below 1e-12, each in the infinity norm, and
-    raises ``NoConvergenceError`` after 100 iterations.  The largest
-    product, not the mean, is tested because a degenerate good (w_c and
-    p_c both tending to 0) lags behind the mean and would keep a price
-    far above zero.  Final goods are priced 1/x_c (marginal log
-    utility), non-final goods p_c.
+    Interior-Point Methods*, 1997, ch. 6).  The unknowns are s, its duals
+    z, an availability slack w_c for every good and the prices p of the
+    non-final goods; the availability residual x0 + q^T s - w is carried
+    by the loop, so it starts from s = z = w = p = 1 with no feasible
+    point in hand, and every step of length alpha removes the fraction
+    alpha of that residual.  Final goods are priced 1/w_c (marginal log
+    utility), non-final goods p_c.  Each iteration factors the reduced
+    Hessian q D q^T + diag(z/s) once, with D_c = 1/w_c^2 for final goods
+    and p_c/w_c for non-final goods, and solves with it twice (predictor,
+    then centred corrector).  The loop stops when every complementarity
+    product s_i z_i and w_c p_c is below 1e-12, the stationarity residual
+    q (1/w_final, p) + z below 1e-7 and x0 + q^T s - w below 1e-12, each
+    in the infinity norm.  The largest product, not the mean, is tested
+    because a degenerate good (w_c and p_c both tending to 0) lags behind
+    the mean and would keep a price far above zero.
 
-    When the feasible set has empty interior the economy cannot operate:
-    s* = 0 and, unless every final good is primary, the utility is -inf
-    (status "infeasible").
+    A feasible set with empty interior leaves the loop unable to remove
+    its residual.  When more than 1e-5 of it is left after 10 iterations,
+    or the loop fails (100 iterations, or a Hessian that is not positive
+    definite), the phase-one LP decides: an empty interior means the
+    economy cannot operate, s* = 0 and, unless every final good is
+    primary, the utility is -inf (status "infeasible", ``kkt_residual``
+    NaN).  Otherwise a stalled loop goes on and a failed one raises
+    ``NoConvergenceError``.
     """
     q, k = econ.q, econ.k.astype(bool)
     if not k.any():
@@ -139,36 +160,32 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
         return EquilibriumSolution(
             s_star=np.zeros(econ.N), x_star=x, duals=np.zeros(econ.C),
             objective=0.0, kkt_residual=0.0, status="optimal")
-    s0, t = _phase_one(q, econ.x0, econ.eps)
-    if t <= 1e-7:
-        x = econ.x0.copy()
-        stuck = k & (x <= 0)
-        objective = float("-inf") if stuck.any() else 0.0
-        duals = np.where(k & (x > 0), 1.0 / np.where(x > 0, x, 1.0), 0.0)
-        profits = q @ duals
-        return EquilibriumSolution(
-            s_star=np.zeros(econ.N), x_star=x, duals=duals,
-            objective=objective,
-            kkt_residual=float(max(0.0, profits.max(initial=0.0))),
-            status="infeasible" if stuck.any() else "optimal")
-    s, nf = np.maximum(s0, 1e-10), ~k
-    w = econ.x0[nf] + (s @ q)[nf]
-    z, p = np.ones_like(s), np.ones_like(w)
-    m = s.size + w.size
+    nf = ~k
+    # the positive unknowns in one vector, so that one rule bounds the
+    # step of all of them: s, z, the slacks w of every good and p
+    i_z, i_w, i_p = econ.N, 2 * econ.N, 2 * econ.N + econ.C
+    v = np.ones(i_p + int(nf.sum()))
+    s, z, w, p = v[:i_z], v[i_z:i_w], v[i_w:i_p], v[i_p:]
+    m = s.size + p.size
     duals, weights = np.empty(econ.C), np.empty(econ.C)
     diag = np.diag_indices(econ.N)
     newton_steps = 0
-    for _ in range(_MAX_ITER):
+    left = 1.0                    # share of the starting residual still left
+    failure = None
+    for it in range(_MAX_ITER):
         x = econ.x0 + s @ q
-        duals[k], duals[nf] = 1.0 / x[k], p
+        w_nf = w[nf]
+        duals[k], duals[nf] = 1.0 / w[k], p
         r_dual = q @ duals + z                  # stationarity: z minus profit
-        r_avail = x[nf] - w
-        gap = max(float(np.max(s * z)), float(np.max(w * p, initial=0.0)))
+        r_avail = x - w
+        gap = max(float(np.max(s * z)), float(np.max(w_nf * p, initial=0.0)))
         if (gap < _COMPLEMENTARITY_TOL
                 and float(np.abs(r_dual).max()) < _STATIONARITY_TOL
-                and float(np.abs(r_avail).max(initial=0.0)) < _AVAILABILITY_TOL):
+                and float(np.abs(r_avail).max()) < _AVAILABILITY_TOL):
             break
-        weights[k], weights[nf] = duals[k] ** 2, p / w
+        if it == _STALL_ITER and left > _STALL_LEFT and _empty_interior(econ):
+            return _no_equilibrium(econ, newton_steps)
+        weights[k], weights[nf] = duals[k] ** 2, p / w_nf
         # scipy's GEMM, not numpy's @: cho_factor runs in scipy's own
         # OpenBLAS, and handing off between the two libraries' thread
         # pools costs more than the arithmetic (8.0 ms against 0.97 ms a
@@ -185,40 +202,42 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
             try:
                 factor = cho_factor(hess)
             except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(
-                    f"primal-dual Hessian not positive definite: {exc}") from exc
+                failure = f"primal-dual Hessian not positive definite: {exc}"
+                break
 
         def direction(r_sz, r_wp):
-            shift = np.zeros(econ.C)
-            shift[nf] = (r_wp + p * r_avail) / w
-            ds = cho_solve(factor, r_dual - q @ shift - r_sz / s)
-            dx = ds @ q
-            dw = dx[nf] + r_avail
-            return ds, dx, dw, -(r_sz + z * ds) / s, -(r_wp + p * dw) / w
-
-        def step(ds, dx, dw, dz, dp):
-            return _max_step(((s, ds), (x[k], dx[k]), (w, dw),
-                              (z, dz), (p, dp)))
+            shift = weights * r_avail
+            shift[nf] += r_wp / w_nf
+            ds = cho_solve(factor, r_dual - q @ shift - r_sz / s,
+                           check_finite=False)
+            dw = ds @ q + r_avail
+            return np.concatenate((ds, -(r_sz + z * ds) / s, dw,
+                                   -(r_wp + p * dw[nf]) / w_nf))
 
         # predictor: the affine-scaling direction, aimed at zero products
-        ds, dx, dw, dz, dp = direction(s * z, w * p)
-        alpha = step(ds, dx, dw, dz, dp)
-        mu = float(s @ z + w @ p) / m
+        dv = direction(s * z, w_nf * p)
+        alpha = _max_step(v, dv)
+        ds, dz, dw, dp = dv[:i_z], dv[i_z:i_w], dv[i_w:i_p], dv[i_p:]
+        mu = float(s @ z + w_nf @ p) / m
         mu_aff = float((s + alpha * ds) @ (z + alpha * dz)
-                       + (w + alpha * dw) @ (p + alpha * dp)) / m
+                       + (w_nf + alpha * dw[nf]) @ (p + alpha * dp)) / m
         # corrector: centred on sigma mu with the second-order term; the
         # floor keeps the last step from overshooting far below the stop
         # rule, where the Hessian stops being positive definite
-        target = max((mu_aff / mu) ** 3 * mu, 0.1 * _COMPLEMENTARITY_TOL)
-        ds, dx, dw, dz, dp = direction(s * z + ds * dz - target,
-                                       w * p + dw * dp - target)
-        alpha = min(1.0, _STEP_FRACTION * step(ds, dx, dw, dz, dp))
-        s, w = s + alpha * ds, w + alpha * dw
-        z, p = z + alpha * dz, p + alpha * dp
+        target = max(min(1.0, mu_aff / mu) ** 3 * mu,
+                     0.1 * _COMPLEMENTARITY_TOL)
+        dv = direction(s * z + ds * dz - target,
+                       w_nf * p + dw[nf] * dp - target)
+        alpha = _STEP_FRACTION * _max_step(v, dv)
+        v += alpha * dv                         # moves s, z, w and p
+        left *= 1.0 - alpha
     else:
-        raise NoConvergenceError(
-            f"primal-dual loop: no convergence in {_MAX_ITER} iterations "
-            f"(largest complementarity product {gap:.1e})")
+        failure = (f"no convergence in {_MAX_ITER} iterations "
+                   f"(largest complementarity product {gap:.1e})")
+    if failure is not None:
+        if _empty_interior(econ):
+            return _no_equilibrium(econ, newton_steps)
+        raise NoConvergenceError(f"primal-dual loop: {failure}")
     profits = q @ duals
     kkt = max(
         float(np.max(profits, initial=-np.inf)),          # dual feasibility
@@ -226,7 +245,7 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
         float(max(0.0, -x.min(), -s.min())),              # primal feasibility
     )
     objective = float(np.log(x[k]).sum())
-    return EquilibriumSolution(s_star=s, x_star=x, duals=duals,
+    return EquilibriumSolution(s_star=s.copy(), x_star=x, duals=duals,
                                objective=objective, kkt_residual=kkt,
                                status="optimal", newton_steps=newton_steps)
 

@@ -38,6 +38,26 @@ def toy_closed_cone():
     return EconomyInstance(N=2, C=4, eps=eps, seed=0, q=q, x0=x0, k=k)
 
 
+def phase_one_status(econ):
+    """Oracle of the status of ``solve_equilibrium``: an LP for the largest
+    margin t with x0 + q^T s >= t over every good.  No margin above 1e-7
+    means an empty interior, where s* = 0 and the economy is "infeasible"
+    when a final good has no endowment; otherwise it is "optimal"."""
+    k = econ.k.astype(bool)
+    if not k.any():
+        return "optimal"
+    cap = econ.x0.sum() / econ.eps + 1.0
+    res = linprog(np.r_[np.zeros(econ.N), -1.0],
+                  A_ub=np.hstack([-econ.q.T, np.ones((econ.C, 1))]),
+                  b_ub=econ.x0,
+                  bounds=[(0.0, cap)] * econ.N + [(None, 0.25)],
+                  method="highs-ds")
+    assert res.status == 0, res.message
+    if res.x[-1] > 1e-7:
+        return "optimal"
+    return "infeasible" if np.any(k & (econ.x0 <= 0)) else "optimal"
+
+
 class TestSolveEquilibrium:
     def test_no_final_goods(self):
         econ = sample_economy(PARAMS.with_(f=0.0), C=20, seed=1)
@@ -47,12 +67,22 @@ class TestSolveEquilibrium:
         assert sol.status == "optimal"
         assert sol.newton_steps == 0
 
-    def test_closed_cone_toy(self):
+    def test_closed_cone_toy(self, monkeypatch):
+        # the loop runs until it stalls; the factorisations it spent
+        # before the LP confirmed the empty interior are counted
+        factored = []
+
+        def counting_cho_factor(*args, **kwargs):
+            factored.append(1)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "cho_factor", counting_cho_factor)
         sol = solve_equilibrium(toy_closed_cone())
         assert np.all(sol.s_star == 0.0)
         assert sol.status == "infeasible"
         assert sol.objective == float("-inf")
-        assert sol.newton_steps == 0
+        assert np.isnan(sol.kkt_residual)
+        assert sol.newton_steps == len(factored) > 0
 
     def test_feasibility_and_positivity(self):
         econ = sample_economy(PARAMS, C=33, seed=7)
@@ -124,6 +154,66 @@ class TestSolveEquilibrium:
         cert = certify_equilibrium(econ, sol)
         assert all(passed for _, passed in cert.values())
 
+    # pi = 0.5.  f = 0.5: thin interiors on which a loop started from the
+    # phase-one LP ran out of its 100 iterations.  f = 1: every good enters
+    # the utility, so every slack w carries the log term; pricing final
+    # goods by a dual of their own (w p = 1) rather than 1/w is reported to
+    # break down on these
+    @pytest.mark.parametrize("n, f, eps, C, seed", [
+        (0.8646570354980633, 0.5, 0.01, 55, 572100592),
+        (0.9207845463400741, 0.5, 0.1, 75, 1848050794),
+        (0.7064690883420115, 0.5, 0.1, 70, 1904241140),
+        (0.7700094047403291, 0.5, 0.1, 75, 2010630370),
+        (0.6796487776895048, 1.0, 0.1, 23, 907325282),
+        (0.7084255695420378, 1.0, 0.01, 63, 1999489685),
+        (0.7397995223885049, 1.0, 0.01, 30, 2042432157),
+        (0.9169526593428265, 1.0, 0.1, 40, 1864525075),
+    ])
+    def test_hard_instances_certify(self, n, f, eps, C, seed):
+        econ = sample_economy(EnsembleParams(n=n, pi=0.5, f=f, eps=eps),
+                              C=C, seed=seed)
+        sol = solve_equilibrium(econ)
+        assert sol.status == "optimal"
+        assert all(passed for _, passed in
+                   certify_equilibrium(econ, sol).values())
+        assert sol.newton_steps <= 40
+
+    @pytest.mark.parametrize("params, C, seed, status, lps", [
+        pytest.param(PARAMS, 33, 7, "optimal", 0, id="feasible"),
+        pytest.param(EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1), 29,
+                     773660801, "infeasible", 1, id="empty-interior"),
+    ])
+    def test_lp_only_confirms_empty_interior(self, monkeypatch, params, C,
+                                             seed, status, lps):
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "linprog", counting_linprog)
+        sol = solve_equilibrium(sample_economy(params, C=C, seed=seed))
+        assert sol.status == status
+        assert len(calls) == lps
+        if status == "infeasible":
+            # confirmed at the stall test, not after the loop ran out
+            assert sol.newton_steps == finite._STALL_ITER
+
+    @settings(max_examples=40, deadline=None)
+    @given(C=st.integers(10, 30), n=st.floats(0.5, 3.0),
+           pi=st.floats(0.3, 0.8), f=st.sampled_from((0.5, 1.0)),
+           eps=st.sampled_from((0.1, 0.01)), seed=st.integers(0, 2**31 - 1))
+    def test_status_matches_phase_one_oracle(self, C, n, pi, f, eps, seed):
+        econ = sample_economy(EnsembleParams(n=n, pi=pi, f=f, eps=eps),
+                              C=C, seed=seed)
+        sol = solve_equilibrium(econ)
+        assert sol.status == phase_one_status(econ)
+        if sol.status == "optimal":
+            assert all(passed for _, passed in
+                       certify_equilibrium(econ, sol).values())
+        else:
+            assert np.isnan(sol.kkt_residual)
+
     def test_cholesky_failure_raises(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
@@ -185,6 +275,7 @@ class TestCertification:
                               C=29, seed=773660801)
         sol = solve_equilibrium(econ)
         assert sol.status == "infeasible"
+        assert np.isnan(sol.kkt_residual)
         with pytest.raises(DomainError, match="infeasible"):
             certify_equilibrium(econ, sol)
 
