@@ -12,9 +12,9 @@ validate       quick self-check suite; nonzero exit on any failure
 
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
-byte-identical apart from the timestamp line and lp-fraction's count of
-solved LPs (``lps``).  Defaults can be loaded from a plain ``key=value``
-file via ``--config``.
+byte-identical apart from the timestamp and wall-time lines and
+lp-fraction's count of solved LPs (``lps``).  Defaults can be loaded
+from a plain ``key=value`` file via ``--config``.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .ensemble import EnsembleParams, intermediate_sweep_map
@@ -70,9 +71,11 @@ def _fmt_cell(v):
 
 def _meta(args, command):
     items = {"command": command, "version": __version__,
-             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+             "numpy": np.__version__, "scipy": scipy.__version__,
+             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+             "wall_s": round(time.perf_counter() - args.started, 3)}
     for key, val in sorted(vars(args).items()):
-        if key not in ("func", "config") and val is not None:
+        if key not in ("func", "config", "started") and val is not None:
             items[f"arg.{key}"] = val
     return items
 
@@ -381,6 +384,7 @@ def _apply_config(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()    # for the wall_s metadata line
     try:
         _apply_config(args)
         return args.func(args)

@@ -11,9 +11,14 @@ Three numerical experiments on sampled economies:
   the availability residuals are at rounding level, and the prices are
   certified against the KKT conditions (zero profit, complementary
   slackness, Walras' law).  An LP runs only when the loop stalls or
-  fails, to confirm that the feasible set has an empty interior.  At
-  N~100 the result is bit-identical at any BLAS thread count; at
-  N >= 200 it is reproducible only at a fixed thread count.
+  fails, to confirm that the feasible set has an empty interior.  Each
+  iteration forms the reduced Hessian with BLAS dgemm, factors it with
+  LAPACK dpotrf and solves with dpotrs twice, all called directly in the
+  OpenBLAS that scipy bundles: this module's ``cho_factor`` and
+  ``cho_solve`` pass scipy.linalg's flags and give its bits, without
+  its array-API dispatch and finiteness checks.  At N~100 the result is
+  bit-identical at any BLAS thread count; at N >= 200 it is
+  reproducible only at a fixed thread count.
 * ``lp_feasibility_fraction``: does the homogeneous cone
   {s >= 0 : (q^T s)_c >= 0 for non-primary c} contain more than the
   origin?  A bounded LP answers per instance; the fraction over trials
@@ -31,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
 from .ensemble import EconomyInstance, EnsembleParams, sample_economy
@@ -116,10 +121,39 @@ def _no_equilibrium(econ: EconomyInstance,
         newton_steps=newton_steps)
 
 
+def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of a symmetric positive definite float64 matrix.
+
+    LAPACK's dpotrf with the flags ``scipy.linalg.cho_factor`` passes
+    (upper triangle, lower one left as it was, ``a`` copied), so the
+    factor is the same to the bit, without that wrapper's dispatch and
+    finiteness check.  Returns ``(c, lower)`` for ``cho_solve``.  Raises
+    ``np.linalg.LinAlgError`` when the factorisation fails; ``a`` is
+    never written to.  A NaN or inf in ``a`` is not caught: the factor
+    then holds NaN or inf.
+    """
+    c, info = dpotrf(a, lower=0, clean=0, overwrite_a=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info = {info}: "
+                                    "not positive definite")
+    return c, False
+
+
+def cho_solve(c_and_lower: tuple[np.ndarray, bool],
+              b: np.ndarray) -> np.ndarray:
+    """Solution x of a x = b from ``cho_factor(a)``, by LAPACK's dpotrs."""
+    c, lower = c_and_lower
+    x, info = dpotrs(c, b, lower=lower, overwrite_b=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrs failed with info = {info}")
+    return x
+
+
 def _max_step(val: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha <= 1 keeping every val + alpha * dv nonnegative."""
-    shrink = dv < 0
-    return min(1.0, float(np.min(-val[shrink] / dv[shrink], initial=np.inf)))
+    ratio = np.full_like(val, np.inf)
+    np.divide(-val, dv, out=ratio, where=dv < 0)
+    return min(1.0, float(ratio.min()))
 
 
 def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
@@ -160,44 +194,57 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
         return EquilibriumSolution(
             s_star=np.zeros(econ.N), x_star=x, duals=np.zeros(econ.C),
             objective=0.0, kkt_residual=0.0, status="optimal")
-    nf = ~k
+    # integer positions of the final and non-final goods
+    i_k, i_nf = np.flatnonzero(k), np.flatnonzero(~k)
     # the positive unknowns in one vector, so that one rule bounds the
-    # step of all of them: s, z, the slacks w of every good and p
+    # step of all of them: s, z, the slacks w of every good and p; their
+    # step dv has the same layout
     i_z, i_w, i_p = econ.N, 2 * econ.N, 2 * econ.N + econ.C
-    v = np.ones(i_p + int(nf.sum()))
+    v = np.ones(i_p + i_nf.size)
     s, z, w, p = v[:i_z], v[i_z:i_w], v[i_w:i_p], v[i_p:]
+    dv = np.empty_like(v)
+    ds, dz, dw, dp = dv[:i_z], dv[i_z:i_w], dv[i_w:i_p], dv[i_p:]
     m = s.size + p.size
     duals, weights = np.empty(econ.C), np.empty(econ.C)
-    diag = np.diag_indices(econ.N)
+    # dgemm's operands and its product in the column-major layout it
+    # works in, so that no call copies them; with beta = 0 it never
+    # reads the uninitialised product
+    q_f = np.asfortranarray(q)
+    qw = np.empty_like(q_f)
+    hess = np.empty((econ.N, econ.N), order="F")
+    hess_diag = hess.ravel(order="K")[::econ.N + 1]      # a view
     newton_steps = 0
     left = 1.0                    # share of the starting residual still left
     failure = None
     for it in range(_MAX_ITER):
         x = econ.x0 + s @ q
-        w_nf = w[nf]
-        duals[k], duals[nf] = 1.0 / w[k], p
+        w_nf = w[i_nf]
+        duals[i_k], duals[i_nf] = 1.0 / w[i_k], p
         r_dual = q @ duals + z                  # stationarity: z minus profit
         r_avail = x - w
-        gap = max(float(np.max(s * z)), float(np.max(w_nf * p, initial=0.0)))
+        sz, wp = s * z, w_nf * p
+        gap = max(float(sz.max()), float(wp.max(initial=0.0)))
         if (gap < _COMPLEMENTARITY_TOL
                 and float(np.abs(r_dual).max()) < _STATIONARITY_TOL
                 and float(np.abs(r_avail).max()) < _AVAILABILITY_TOL):
             break
         if it == _STALL_ITER and left > _STALL_LEFT and _empty_interior(econ):
             return _no_equilibrium(econ, newton_steps)
-        weights[k], weights[nf] = duals[k] ** 2, p / w_nf
-        # scipy's GEMM, not numpy's @: cho_factor runs in scipy's own
-        # OpenBLAS, and handing off between the two libraries' thread
-        # pools costs more than the arithmetic (8.0 ms against 0.97 ms a
-        # step at N=200, C=100 with two BLAS threads on 2 vCPUs)
-        hess = dgemm(1.0, q * weights, q, trans_b=True)
-        hess[diag] += z / s
+        weights[i_k], weights[i_nf] = duals[i_k] ** 2, p / w_nf
+        # the Hessian, its factor and its solves all run in the OpenBLAS
+        # that scipy bundles, called directly, not through numpy's @:
+        # handing off between the two libraries' thread pools costs more
+        # than the arithmetic (8.0 ms against 0.97 ms a step at N=200,
+        # C=100 with two BLAS threads on 2 vCPUs)
+        np.multiply(q_f, weights, out=qw)
+        dgemm(1.0, qw, q_f, trans_b=True, c=hess, overwrite_c=True)
+        hess_diag += z / s
         newton_steps += 1
         try:
             factor = cho_factor(hess)
         except np.linalg.LinAlgError:
             # rounding near the optimum: one retry with a tiny shift
-            hess[diag] += 1e-14 * float(hess[diag].max())
+            hess_diag += 1e-14 * float(hess_diag.max())
             newton_steps += 1
             try:
                 factor = cho_factor(hess)
@@ -206,28 +253,27 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
                 break
 
         def direction(r_sz, r_wp):
+            # the step goes into dv in place; the corrector's arguments
+            # read the predictor's step before this overwrites it
             shift = weights * r_avail
-            shift[nf] += r_wp / w_nf
-            ds = cho_solve(factor, r_dual - q @ shift - r_sz / s,
-                           check_finite=False)
-            dw = ds @ q + r_avail
-            return np.concatenate((ds, -(r_sz + z * ds) / s, dw,
-                                   -(r_wp + p * dw[nf]) / w_nf))
+            shift[i_nf] += r_wp / w_nf
+            ds[:] = cho_solve(factor, r_dual - q @ shift - r_sz / s)
+            dw[:] = ds @ q + r_avail
+            dz[:] = -(r_sz + z * ds) / s
+            dp[:] = -(r_wp + p * dw[i_nf]) / w_nf
 
         # predictor: the affine-scaling direction, aimed at zero products
-        dv = direction(s * z, w_nf * p)
+        direction(sz, wp)
         alpha = _max_step(v, dv)
-        ds, dz, dw, dp = dv[:i_z], dv[i_z:i_w], dv[i_w:i_p], dv[i_p:]
         mu = float(s @ z + w_nf @ p) / m
         mu_aff = float((s + alpha * ds) @ (z + alpha * dz)
-                       + (w_nf + alpha * dw[nf]) @ (p + alpha * dp)) / m
+                       + (w_nf + alpha * dw[i_nf]) @ (p + alpha * dp)) / m
         # corrector: centred on sigma mu with the second-order term; the
         # floor keeps the last step from overshooting far below the stop
         # rule, where the Hessian stops being positive definite
         target = max(min(1.0, mu_aff / mu) ** 3 * mu,
                      0.1 * _COMPLEMENTARITY_TOL)
-        dv = direction(s * z + ds * dz - target,
-                       w_nf * p + dw[nf] * dp - target)
+        direction(sz + ds * dz - target, wp + dw[i_nf] * dp - target)
         alpha = _STEP_FRACTION * _max_step(v, dv)
         v += alpha * dv                         # moves s, z, w and p
         left *= 1.0 - alpha
@@ -514,17 +560,16 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
         econ = sample_economy(params, C, seed)
         N = econ.N
         rng = np.random.default_rng(seed + 500)
+        # availability of every good, then the cap on total scale
+        a_ub = np.vstack([-econ.q.T, np.ones((1, econ.N))])
         vertices = []
         for _ in range(n_objective_draws):
             x0 = (rng.random(C) < params.pi).astype(float)
             obj = np.abs(rng.standard_normal(econ.N))
             obj /= np.linalg.norm(obj)
             cap = max(float(x0.sum()), 1.0) / params.eps
-            res = linprog(
-                -obj,
-                A_ub=np.vstack([-econ.q.T, np.ones((1, econ.N))]),
-                b_ub=np.concatenate([x0, [cap]]),
-                bounds=(0.0, None), method="highs-ds")
+            res = linprog(-obj, A_ub=a_ub, b_ub=np.concatenate([x0, [cap]]),
+                          bounds=(0.0, None), method="highs-ds")
             if res.status == 0:
                 vertices.append(res.x)
         verts = np.array(vertices)

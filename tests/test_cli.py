@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from randecon.cli import _fmt_cell
 from randecon.ensemble import EnsembleParams
@@ -39,6 +40,21 @@ class TestSaddle:
         meta = [l for l in proc.stdout.splitlines() if l.startswith("#")]
         assert any("version" in l for l in meta)
         assert any("command" in l for l in meta)
+
+    def test_versions_and_wall_time_in_metadata(self):
+        args = ("saddle", "--n", "3", "--pi", "0.65", "--f", "0.5",
+                "--eps", "0.1")
+        csv = run_cli(*args).stdout
+        meta = dict(line[2:].split(" = ", 1) for line in csv.splitlines()
+                    if line.startswith("# "))
+        assert meta["numpy"] == np.__version__
+        assert meta["scipy"] == scipy.__version__
+        assert float(meta["wall_s"]) >= 0.0
+        payload = json.loads(run_cli(*args, "--format", "json").stdout)
+        assert payload["meta"]["numpy"] == np.__version__
+        assert payload["meta"]["scipy"] == scipy.__version__
+        assert payload["meta"]["wall_s"] >= 0.0
+        assert "arg.started" not in payload["meta"]
 
     def test_json_format(self):
         proc = run_cli("saddle", "--n", "3", "--pi", "0.65", "--f", "0.5",

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 import randecon
@@ -221,6 +222,64 @@ class TestSolveEquilibrium:
         monkeypatch.setattr(finite, "cho_factor", failing)
         with pytest.raises(NoConvergenceError):
             solve_equilibrium(sample_economy(PARAMS, C=33, seed=7))
+
+
+def spd_matrix(N, seed):
+    # q D q^T plus a diagonal, like the primal-dual Hessian, column-major
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((N, max(N // 2, 1)))
+    hess = (q * rng.random(q.shape[1])) @ q.T + np.diag(rng.random(N))
+    return np.asfortranarray(hess)
+
+
+def boolean_mask_max_step(val, dv):
+    shrink = dv < 0
+    return min(1.0, float(np.min(-val[shrink] / dv[shrink], initial=np.inf)))
+
+
+class TestLapackCholesky:
+    @pytest.mark.parametrize("N", [1, 28, 100, 200])
+    def test_same_bits_as_scipy(self, N):
+        hess = spd_matrix(N, N)
+        b = np.random.default_rng(N + 1).standard_normal(N)
+        ours, scipys = finite.cho_factor(hess), cho_factor(hess)
+        assert ours[1] == scipys[1]
+        assert ours[0].tobytes() == scipys[0].tobytes()
+        assert (finite.cho_solve(ours, b).tobytes()
+                == cho_solve(scipys, b).tobytes())
+
+    def test_indefinite_raises_and_leaves_input(self):
+        hess = spd_matrix(28, 3)
+        hess[5, 5] = -1.0
+        before = hess.copy(order="F")
+        with pytest.raises(np.linalg.LinAlgError):
+            finite.cho_factor(hess)
+        assert hess.tobytes() == before.tobytes()
+
+    def test_solve_leaves_right_hand_side(self):
+        factor = finite.cho_factor(spd_matrix(28, 4))
+        b = np.arange(28.0)
+        finite.cho_solve(factor, b)
+        assert np.array_equal(b, np.arange(28.0))
+
+
+class TestMaxStep:
+    def test_full_when_nothing_shrinks(self):
+        assert finite._max_step(np.zeros(3), np.array([0.0, -0.0, 2.0])) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 40))
+    def test_matches_boolean_masks(self, data, size):
+        val = data.draw(arrays(np.float64, size, elements=st.one_of(
+            st.just(0.0), st.floats(1e-12, 1e3))))
+        dv = data.draw(arrays(np.float64, size, elements=st.one_of(
+            st.just(0.0), st.just(-0.0), st.floats(1e-6, 1e3),
+            st.floats(-1e3, -1e-6))))
+        ours = finite._max_step(val, dv)
+        assert (np.float64(ours).tobytes()
+                == np.float64(boolean_mask_max_step(val, dv)).tobytes())
+        if np.all(dv >= 0):
+            assert ours == 1.0
 
 
 class TestCertification:
