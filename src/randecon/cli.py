@@ -13,8 +13,11 @@ validate       quick self-check suite; nonzero exit on any failure
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
 byte-identical apart from the timestamp and wall-time lines and
-lp-fraction's count of solved LPs (``lps``).  Defaults can be loaded
-from a plain ``key=value`` file via ``--config``.
+lp-fraction's count of solved LPs (``lps``).  ``--config FILE`` reads
+``key = value`` lines; each is parsed, after the command line, as the
+subcommand's flag with that destination (``start`` for ``--from``,
+``tech_draws`` or ``tech-draws`` for ``--tech-draws``), so file entries
+win over flags and ``fix`` lines add to ``--fix``.
 """
 from __future__ import annotations
 
@@ -35,8 +38,7 @@ from .critical import critical_line_sweep
 from .finite import (lp_feasibility_fraction, monte_carlo_observables,
                      pca_probe)
 from .observables import observable_set
-from .replica import (SOLUTION_CSV_COLUMNS, solution_csv_rows, solve_saddle,
-                      sweep)
+from .replica import solve_saddle, sweep
 
 _EXIT_OK, _EXIT_PARTIAL, _EXIT_CONFIG = 0, 1, 2
 
@@ -86,18 +88,50 @@ def _params_from(args) -> EnsembleParams:
 
 # ---------------------------------------------------------------- subcommands
 
+#: the saddle-point cells that open every saddle and sweep row
+SOLUTION_COLUMNS = ("n", "pi", "f", "eps", "branch", "Omega", "kappa", "p",
+                    "sigma", "chi", "chi_hat", "residual", "iters")
+
+
+def _solution_rows(solutions, observables):
+    """One row per solution: ``SOLUTION_COLUMNS``, then the named fields of
+    its ``observable_set``.  A collapsed row has no order parameters and
+    carries the fixed cells (0, 0, 0, 0, 0, nan): nothing operates, and
+    chi_hat is scale-indeterminate as s* -> 0.  A failed row is NaN
+    throughout."""
+    rows = []
+    for sol in solutions:
+        pr = sol.params
+        if sol.branch == "industrial":
+            op = sol.op
+            cells = [op.Omega, op.kappa, op.p, op.sigma, op.chi, op.chi_hat]
+        elif sol.branch == "collapsed":
+            cells = [0.0, 0.0, 0.0, 0.0, 0.0, np.nan]
+        else:
+            cells = [np.nan] * 6
+        if sol.branch == "failed":
+            obs = ["nan"] * len(observables)
+        else:
+            values = observable_set(sol)
+            obs = [getattr(values, name) for name in observables]
+        rows.append([pr.n, pr.pi, pr.f, pr.eps, sol.branch, *cells,
+                     sol.residual_norm, sol.iterations, *obs])
+    return rows
+
+
+def _emit_solutions(args, command, solutions, observables):
+    rows = _solution_rows(solutions, observables)
+    _emit(args.output, _meta(args, command), SOLUTION_COLUMNS + observables,
+          rows, args.format)
+    failed = any(sol.branch == "failed" for sol in solutions)
+    return _EXIT_PARTIAL if failed else _EXIT_OK
+
+
 def _cmd_saddle(args):
     # a one-point sweep: a solve that fails is a "failed" row, as in _cmd_sweep
-    sol = sweep([_params_from(args)], tol=args.tol)[0]
-    row = list(solution_csv_rows([sol])[0])
-    cols = list(SOLUTION_CSV_COLUMNS) + ["phi", "s_mean", "x_mean", "utility"]
-    if sol.branch == "failed":
-        row += ["nan"] * 4
-    else:
-        obs = observable_set(sol)
-        row += [obs.phi, obs.s_mean, obs.x_mean, obs.utility]
-    _emit(args.output, _meta(args, "saddle"), cols, [row], args.format)
-    return _EXIT_PARTIAL if sol.branch == "failed" else _EXIT_OK
+    return _emit_solutions(args, "saddle",
+                           sweep([_params_from(args)], tol=args.tol),
+                           ("phi", "s_mean", "x_mean", "utility"))
 
 
 def _grid(args):
@@ -108,38 +142,28 @@ def _grid(args):
     return list(np.linspace(args.start, args.stop, args.points))
 
 
+def _intermediate_ratios(fix):
+    """(f/n, pi/n) from the ``--fix`` entries of an i sweep."""
+    try:
+        ratios = dict(kv.split("=", 1) for kv in fix or ())
+        return float(ratios["f-over-n"]), float(ratios["pi-over-n"])
+    except (KeyError, ValueError):
+        raise RandeconError("--var i needs --fix pi-over-n=VALUE and "
+                            "--fix f-over-n=VALUE") from None
+
+
 def _cmd_sweep(args):
     if args.var is None:
         raise RandeconError("sweep needs --var (flag or config key)")
-    if args.var not in ("n", "pi", "f", "eps", "i"):
-        raise RandeconError(f"unknown sweep variable: {args.var}")
-    fixes = dict(kv.split("=", 1) for kv in (args.fix or []))
-    values = _grid(args)
-    grid = []
-    for v in values:
-        if args.var == "i":
-            grid.append(intermediate_sweep_map(
-                float(fixes["f-over-n"]), float(fixes["pi-over-n"]), v,
-                eps=args.eps))
-        else:
-            grid.append(_params_from(args).with_(**{args.var: v}))
-    sols = sweep(grid, tol=args.tol)
-    rows = solution_csv_rows(sols)
-    extra_cols = list(SOLUTION_CSV_COLUMNS) + [
-        "phi", "s_mean", "x_mean", "x11", "x01", "x10", "x00",
-        "consumption", "waste", "utility"]
-    out_rows, failures = [], 0
-    for sol, row in zip(sols, rows):
-        if sol.branch == "failed":
-            failures += 1
-            out_rows.append(list(row) + ["nan"] * 10)
-            continue
-        obs = observable_set(sol)
-        out_rows.append(list(row) + [obs.phi, obs.s_mean, obs.x_mean,
-                                     obs.x11, obs.x01, obs.x10, obs.x00,
-                                     obs.consumption, obs.waste, obs.utility])
-    _emit(args.output, _meta(args, "sweep"), extra_cols, out_rows, args.format)
-    return _EXIT_PARTIAL if failures else _EXIT_OK
+    if args.var == "i":
+        f_over_n, pi_over_n = _intermediate_ratios(args.fix)
+        grid = [intermediate_sweep_map(f_over_n, pi_over_n, v, eps=args.eps)
+                for v in _grid(args)]
+    else:
+        grid = [_params_from(args).with_(**{args.var: v}) for v in _grid(args)]
+    return _emit_solutions(args, "sweep", sweep(grid, tol=args.tol),
+                           ("phi", "s_mean", "x_mean", "x11", "x01", "x10",
+                            "x00", "consumption", "waste", "utility"))
 
 
 def _cmd_critical_line(args):
@@ -351,42 +375,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args):
-    """Apply key=value file entries on top of the parsed flags."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+def _config_flags(sub, path):
+    """The ``key = value`` lines of a config file as ``--flag=value``
+    arguments of the subcommand parser ``sub``."""
+    flags = {action.dest: action.option_strings[0] for action in sub._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    out = []
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not hasattr(args, key):
+            if key not in flags:
                 raise RandeconError(f"unknown config key: {key}")
-            cur = getattr(args, key)
-            if isinstance(cur, int):
-                val = int(val)
-            elif isinstance(cur, float):
-                val = float(val)
-            else:
-                val = val.strip()
-                if cur is None:           # e.g. start/stop default
-                    for cast in (int, float):
-                        try:
-                            val = cast(val)
-                            break
-                        except ValueError:
-                            pass
-            setattr(args, key, val)
+            out.append(f"{flags[key]}={val.strip()}")
+    return out
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line, then again with the ``--config`` file's
+    entries appended as flags."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        subs = next(a for a in parser._actions if a.dest == "subcommand")
+        sub = subs.choices[args.subcommand]
+        args = parser.parse_args(argv + _config_flags(sub, args.config))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.started = time.perf_counter()    # for the wall_s metadata line
+    started = time.perf_counter()    # for the wall_s metadata line
     try:
-        _apply_config(args)
+        args = parse_args(argv)
+        args.started = started
         return args.func(args)
     except RandeconError as exc:
         print(f"error: {exc}", file=sys.stderr)

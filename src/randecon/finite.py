@@ -77,10 +77,6 @@ class EquilibriumSolution:
                                              # was confirmed
 
     @property
-    def active_set(self) -> np.ndarray:
-        return np.flatnonzero(self.s_star > ACTIVE_THRESHOLD)
-
-    @property
     def n_active(self) -> int:
         return int(np.count_nonzero(self.s_star > ACTIVE_THRESHOLD))
 
@@ -369,9 +365,9 @@ def monte_carlo_observables(params: EnsembleParams, C: int, instances: int,
     """Sample means and standard errors of the per-instance observables.
 
     Seeds are base_seed + index, so runs are reproducible and extensible.
-    Utility is averaged per final good; instances whose equilibrium is
-    infeasible (utility -inf) propagate -inf into the utility mean but
-    are kept in the other statistics.
+    Utility is the equilibrium objective per final good (0 without final
+    goods); an infeasible equilibrium (utility -inf) propagates -inf into
+    the utility mean but is kept in the other statistics.
     """
     if instances < 2:
         raise DomainError("need at least two instances for a standard error")
@@ -383,14 +379,8 @@ def monte_carlo_observables(params: EnsembleParams, C: int, instances: int,
         except NoConvergenceError:
             failures += 1
             continue
-        k = econ.k.astype(bool)
-        n_final = int(k.sum())
-        if sol.status == "infeasible" or (n_final > 0 and np.any(sol.x_star[k] <= 0)):
-            util = float("-inf")
-        elif n_final == 0:
-            util = 0.0
-        else:
-            util = float(np.log(sol.x_star[k]).mean())
+        n_final = int(econ.k.sum())
+        util = sol.objective / n_final if n_final else 0.0
         rows.append((
             float(sol.s_star.mean()),
             float(np.mean(sol.s_star > ACTIVE_THRESHOLD)),
@@ -433,8 +423,11 @@ class FeasibilityRecord:
         return self.feasible_count / self.trials
 
 
+#: a trial's cone is open when its LP optimum sum_i s_i exceeds this
+_OPEN_CONE = 1e-6
+
 #: the scan line whose cone thresholds are remembered, as one tuple
-#: (key, brackets) with key (N, C, eps, base_seed, threshold) and
+#: (key, brackets) with key (N, C, eps, base_seed) and
 #: brackets {trial index: (largest primary count known shut, smallest
 #: known open)}; swapped whole, so a call never writes into another
 #: line's brackets
@@ -442,18 +435,17 @@ _scan_line = (None, {})
 
 
 def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
-                            base_seed: int,
-                            threshold: float = 1e-6) -> FeasibilityRecord:
+                            base_seed: int) -> FeasibilityRecord:
     """Fraction of instances whose homogeneous cone is nontrivial.
 
     Per trial: maximize sum_i s_i subject to (q^T s)_c >= 0 for every
     non-primary good c and 0 <= s_i <= 1.  The origin is always
     admissible, so the LP never fails for feasibility reasons; the trial
-    counts as feasible when the optimum exceeds ``threshold``.
+    counts as feasible when the optimum exceeds 1e-6 (``_OPEN_CONE``).
 
     ``sample_economy`` draws q and the endowment uniforms before the
     preferences, and reads neither pi nor f to draw them.  So along one
-    scan line (fixed N, C, eps, base seed and threshold) a trial's
+    scan line (fixed N, C, eps and base seed) a trial's
     primary set grows with pi, its cone only widens, and the cone opens
     at a single primary count k*.  The module keeps, for the most recent
     line only, a bracket per trial: the largest primary count m whose LP
@@ -470,7 +462,7 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     global _scan_line
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    key = (int(round(params.n * C)), C, params.eps, base_seed, threshold)
+    key = (int(round(params.n * C)), C, params.eps, base_seed)
     line = _scan_line
     if line[0] != key:
         line = (key, {})
@@ -499,7 +491,7 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
             continue
         # re-read: another thread on this line may have tightened it
         shut, open_ = brackets.get(idx, unknown)
-        if -res.fun > threshold:
+        if -res.fun > _OPEN_CONE:
             feasible += 1
             brackets[idx] = (shut, min(open_, m))
         else:

@@ -484,26 +484,3 @@ def sweep(params_grid: Sequence[EnsembleParams], rule: QuadratureRule = DEFAULT_
         warm = sol.op
     return out
 
-
-SOLUTION_CSV_COLUMNS = ("n", "pi", "f", "eps", "branch", "Omega", "kappa",
-                        "p", "sigma", "chi", "chi_hat", "residual", "iters")
-
-
-def solution_csv_rows(solutions: Sequence[SaddleSolution]):
-    """CSV rows (n, pi, f, eps, branch, Omega, kappa, p, sigma, chi, chi_hat,
-    residual, iters).  A collapsed row has no order parameters and carries
-    the fixed cells (0, 0, 0, 0, 0, nan): nothing operates, and chi_hat is
-    scale-indeterminate as s* -> 0.  A failed row is NaN throughout."""
-    rows = []
-    for sol in solutions:
-        pr = sol.params
-        if sol.branch == "industrial":
-            op = sol.op
-            vals = (op.Omega, op.kappa, op.p, op.sigma, op.chi, op.chi_hat)
-        elif sol.branch == "collapsed":
-            vals = (0.0, 0.0, 0.0, 0.0, 0.0, np.nan)
-        else:
-            vals = (np.nan,) * 6
-        rows.append((pr.n, pr.pi, pr.f, pr.eps, sol.branch, *vals,
-                     sol.residual_norm, sol.iterations))
-    return rows

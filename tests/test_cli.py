@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -6,9 +8,12 @@ import numpy as np
 import pytest
 import scipy
 
-from randecon.cli import _fmt_cell
+from randecon.cli import SOLUTION_COLUMNS, _fmt_cell, _solution_rows, parse_args
 from randecon.ensemble import EnsembleParams
 from randecon.finite import lp_feasibility_fraction
+from randecon.replica import SaddleSolution, sweep
+
+FIGURES = sorted((pathlib.Path(__file__).parent.parent / "figures").glob("*.conf"))
 
 CLI = [sys.executable, "-m", "randecon"]
 
@@ -100,6 +105,47 @@ class TestSweep:
         proc = run_cli("sweep", "--var", "bogus", "--from", "0", "--to", "1",
                        "--points", "2", check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("fix", (("f-over-n=0.3",),
+                                     ("f-over-n=0.3", "pi-over-n")))
+    def test_intermediate_sweep_needs_both_ratios(self, fix):
+        # one ratio missing, or an entry without '=': a usage error that
+        # names the entries expected
+        flags = [arg for kv in fix for arg in ("--fix", kv)]
+        proc = run_cli("sweep", "--var", "i", "--from", "0.1", "--to", "0.3",
+                       "--points", "2", *flags, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "pi-over-n=" in proc.stderr and "f-over-n=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_csv_schema(self):
+        grid = [EnsembleParams(n=1.0, pi=pi, f=0.5, eps=0.1)
+                for pi in (0.5, 0.28)]
+        sols = sweep(grid)
+        rows = _solution_rows(sols, ())
+        assert len(SOLUTION_COLUMNS) == 13
+        assert all(len(r) == 13 for r in rows)
+        collapsed = rows[1]
+        assert collapsed[4] == "collapsed"
+        # a collapsed row carries fixed cells: (Omega, kappa, p, sigma, chi)
+        # are exactly zero, chi_hat is NaN, and the residual is zero
+        assert collapsed[5:10] == [0.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.isnan(collapsed[10])
+        assert collapsed[11] == 0.0
+        # observables follow the saddle cells, in the order asked for
+        rows = _solution_rows(sols, ("phi", "x_mean"))
+        assert all(len(r) == 15 for r in rows)
+        assert rows[1][13:] == [0.0, 0.28]
+
+    def test_failed_row_is_nan_throughout(self):
+        sol = SaddleSolution(params=EnsembleParams(2.0, 0.65, 0.5, 0.1),
+                             branch="failed", op=None,
+                             residual_norm=np.inf, iterations=0)
+        row, = _solution_rows([sol], ("phi", "utility"))
+        assert row[4] == "failed"
+        assert all(np.isnan(v) for v in row[5:11])
+        assert row[13:] == ["nan", "nan"]
 
 
 class TestCriticalLine:
@@ -208,6 +254,53 @@ class TestPlumbing:
         proc = run_cli(command, "--workers", "2", check=False)
         assert proc.returncode == 2
         assert "--workers" in proc.stderr
+
+    @pytest.mark.parametrize("recipe", FIGURES, ids=lambda p: p.stem)
+    def test_config_file_is_its_flags(self, recipe):
+        # each key = value line parses as the flag of that destination
+        command = re.search(r"randecon (\S+) --config figures/" + recipe.name,
+                            recipe.read_text()).group(1)
+        flags = []
+        for line in recipe.read_text().splitlines():
+            if line and not line.startswith("#"):
+                key, val = (part.strip() for part in line.split("=", 1))
+                flag = {"start": "--from", "stop": "--to"}.get(
+                    key, "--" + key.replace("_", "-"))
+                flags += [flag, val]
+        from_file = vars(parse_args([command, "--config", str(recipe)]))
+        assert from_file.pop("config") == str(recipe)
+        from_flags = vars(parse_args([command] + flags))
+        assert from_flags.pop("config") is None
+        assert from_file == from_flags
+
+    def test_config_keys_and_precedence(self, tmp_path):
+        # fix lines add to the --fix flags, other entries override their
+        # flags; '-' and '_' in a key are alike
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fix = pi-over-n=0.4\nstart = 0.1\n")
+        args = parse_args(["sweep", "--fix", "f-over-n=0.3", "--from", "0.5",
+                           "--config", str(cfg)])
+        assert args.fix == ["f-over-n=0.3", "pi-over-n=0.4"]
+        assert args.start == 0.1
+        cfg.write_text("tech-draws = 3\nobjective_draws = 4\n")
+        args = parse_args(["pca-probe", "--tech-draws", "5",
+                           "--config", str(cfg)])
+        assert (args.tech_draws, args.objective_draws) == (3, 4)
+
+    @pytest.mark.parametrize("command, entry, message", (
+        ("sweep", "fix = pi-over-n=0.4", "f-over-n="),
+        ("saddle", "format = xml", "invalid choice: 'xml'"),
+        ("critical-line", "points = 1.5", "invalid int value: '1.5'"),
+        ("saddle", "func = x", "unknown config key: func"),
+    ))
+    def test_bad_config_entry_exit_2(self, tmp_path, command, entry, message):
+        cfg = tmp_path / "run.cfg"
+        head = "var = i\nstart = 0.1\n" if command == "sweep" else ""
+        cfg.write_text(head + entry + "\n")
+        proc = run_cli(command, "--config", str(cfg), check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_params_exit_2(self):
         proc = run_cli("saddle", "--n", "-1", "--pi", "0.65", "--f", "0.5",

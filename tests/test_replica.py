@@ -8,10 +8,9 @@ from randecon.critical import solve_critical_pi
 from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError, NoConvergenceError, NoRootError
 from randecon.gaussian import gauss_hermite_rule, std_normal_pdf
-from randecon.replica import (DEFAULT_RULE, SOLUTION_CSV_COLUMNS, OrderParams,
-                              branch_switch_pi, moments_M, psi_exploited,
-                              regular_residual, rescaled_residual,
-                              saddle_residual, solution_csv_rows, solve_saddle,
+from randecon.replica import (DEFAULT_RULE, OrderParams, branch_switch_pi,
+                              moments_M, psi_exploited, regular_residual,
+                              rescaled_residual, saddle_residual, solve_saddle,
                               sweep, x_star)
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
@@ -215,21 +214,6 @@ class TestSweep:
         switches = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
         assert switches == 1
         assert labels[0] == "industrial" and labels[-1] == "collapsed"
-
-    def test_csv_schema(self):
-        grid = [EnsembleParams(n=1.0, pi=pi, f=0.5, eps=0.1)
-                for pi in (0.5, 0.28)]
-        sols = sweep(grid)
-        rows = solution_csv_rows(sols)
-        assert len(SOLUTION_CSV_COLUMNS) == 13
-        assert all(len(r) == 13 for r in rows)
-        collapsed = rows[1]
-        assert collapsed[4] == "collapsed"
-        # a collapsed row carries fixed cells: (Omega, kappa, p, sigma, chi)
-        # are exactly zero, chi_hat is NaN, and the residual is zero
-        assert collapsed[5:10] == (0.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.isnan(collapsed[10])
-        assert collapsed[11] == 0.0
 
 
 class TestRegularSystem:
