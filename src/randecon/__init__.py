@@ -5,7 +5,9 @@ the self-consistent order-parameter equations of the infinite-size limit
 (``replica``, ``observables``, ``critical``), and a finite-size leg
 solving sampled instances exactly (``finite``).  ``ensemble`` defines the
 random-economy distribution both legs share; ``gaussian`` collects the
-special functions and quadrature rules the analytic leg is built on.
+special functions and the quadrature rule the analytic leg is built on.
+``observables`` reads the final goods off the same field as the saddle
+equations (``replica.final_good_field``).
 """
 
 __version__ = "0.1.0"
@@ -15,13 +17,11 @@ from .ensemble import (EconomyInstance, EnsembleParams, intermediate_sweep_map,
 from .errors import (DomainError, NoConvergenceError, NonFiniteError,
                      NoRootError, RandeconError)
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
-                       gaussian_average, truncated_scale_moments)
+                       truncated_scale_moments)
 from .replica import (OrderParams, SaddleSolution, branch_switch_pi,
                       solve_saddle, sweep)
-from .observables import (ObservableSet, active_fraction,
-                          conditional_consumption, goods_density,
-                          observable_set, scale_density,
-                          utility_per_final_good)
+from .observables import (ObservableSet, active_fraction, goods_density,
+                          observable_set, scale_density)
 from .critical import (CriticalPoint, bracket_B, critical_line_sweep,
                        solve_critical_pi)
 from .finite import (EquilibriumSolution, FeasibilityRecord, GeometryRecord,

@@ -137,8 +137,13 @@ def _cmd_saddle(args):
 def _grid(args):
     if args.points < 1:
         raise RandeconError("points must be >= 1")
+    if args.start is None:
+        raise RandeconError("the grid needs --from (flag or config key start)")
     if args.points == 1:
         return [args.start]
+    if args.stop is None:
+        raise RandeconError(f"--points {args.points} needs --to "
+                            "(flag or config key stop)")
     return list(np.linspace(args.start, args.stop, args.points))
 
 

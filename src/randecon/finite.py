@@ -292,15 +292,20 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
                                status="optimal", newton_steps=newton_steps)
 
 
-def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution,
-                        tol: float = 1e-6) -> dict:
+#: relative tolerance of certify_equilibrium's price checks
+_CERTIFY_TOL = 1e-6
+
+
+def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution) -> dict:
     """Named KKT/accounting checks, each entry (value, passed).
 
     zero_profit: operating activities earn nothing; no activity earns a
     strictly positive profit.  walras: the value of total availability
     equals the value of endowments.  excess_supply: wasted non-final
     goods are free.  capacity: at most C activities operate, and total
-    scale is bounded by (number of primary goods)/eps.
+    scale is bounded by (number of primary goods)/eps.  The five price
+    checks pass at _CERTIFY_TOL = 1e-6, the first four relative to the
+    norm of the prices.
 
     Only an optimum has prices to certify: a solution with any other
     status (an "infeasible" economy, whose utility is -inf) raises
@@ -321,16 +326,16 @@ def certify_equilibrium(econ: EconomyInstance, sol: EquilibriumSolution,
     # covers every activity at every scale.
     operating = s > 10.0 * ACTIVE_THRESHOLD
     zp = float(np.max(np.abs(profits[operating]), initial=0.0)) / scale
-    checks["zero_profit"] = (zp, zp <= tol)
+    checks["zero_profit"] = (zp, zp <= _CERTIFY_TOL)
     dual_feas = float(np.max(profits, initial=0.0)) / scale
-    checks["no_positive_profit"] = (dual_feas, dual_feas <= tol)
+    checks["no_positive_profit"] = (dual_feas, dual_feas <= _CERTIFY_TOL)
     cs = float(np.max(np.abs(s * profits), initial=0.0)) / scale
-    checks["complementary_slackness"] = (cs, cs <= tol)
+    checks["complementary_slackness"] = (cs, cs <= _CERTIFY_TOL)
     walras = abs(float(p @ x - p @ x0)) / scale
-    checks["walras"] = (walras, walras <= tol)
+    checks["walras"] = (walras, walras <= _CERTIFY_TOL)
     wasted = (~k) & (x > 1e-6)
     es = float(np.max(p[wasted], initial=0.0))
-    checks["excess_supply_free"] = (es, es <= tol)
+    checks["excess_supply_free"] = (es, es <= _CERTIFY_TOL)
     checks["capacity"] = (sol.n_active, sol.n_active <= econ.C)
     total = float(s.sum())
     bound = float(x0.sum()) / econ.eps

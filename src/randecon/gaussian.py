@@ -9,12 +9,14 @@ measure  Dt = (2π)^(-1/2) exp(-t²/2) dt.  Two evaluation routes exist:
       I_1(x) = ⟨Θ(t + x)(t + x)⟩   = x I_0(x) + pdf(x)
       I_2(x) = ⟨Θ(t + x)(t + x)²⟩  = (1 + x²) I_0(x) + x pdf(x)
 
-* quadrature against a :class:`QuadratureRule`, standardized
-  Gauss-Hermite (spectral for smooth integrands).
+  for everything with a clamp or a truncation: non-final goods and the
+  production scales;
 
-Every closed form in this module is cross-checked against the quadrature
-route in the test suite; the closed forms are the fast path, the
-quadrature rules are the oracle.
+* quadrature against a :class:`QuadratureRule`, standardized
+  Gauss-Hermite, for the final-good averages, which have no closed form
+  (replica.final_good_field evaluates their field on its nodes).
+
+The test suite checks every closed form against adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import erfc
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -90,14 +92,6 @@ def gauss_hermite_rule(n_nodes: int = 120) -> QuadratureRule:
         raise DomainError("need at least 2 nodes")
     x, w = hermgauss(n_nodes)
     return QuadratureRule(nodes=np.sqrt(2.0) * x, weights=w / np.sqrt(np.pi))
-
-
-def gaussian_average(f, rule: QuadratureRule) -> float:
-    """⟨f(t)⟩ evaluated as Σ w_i f(t_i) on the given rule."""
-    values = np.asarray(f(rule.nodes), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("integrand returned a non-finite value at a quadrature node")
-    return float(np.dot(rule.weights, values))
 
 
 def truncated_scale_moments(p: float, sigma: float, chi_hat: float, eps: float):

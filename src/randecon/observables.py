@@ -4,7 +4,9 @@ Everything here is a closed-form or one-dimensional-quadrature functional
 of the order parameters: the fraction of operating activities, the
 distribution of production scales, the availability laws of the four good
 classes (final/non-final x primary/non-primary), the aggregate
-consumption/waste split, and the utility per final good.
+consumption/waste split, and the utility per final good.  The final-good
+averages (x11, x01 and the utility) are taken in one pass over
+replica.final_good_field, the field the saddle moments are built on.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleParams
-from .errors import DomainError
-from .gaussian import (QuadratureRule, erfc_half, gauss_moment_I,
-                       gaussian_average, std_normal_pdf, truncated_scale_moments)
-from .replica import (DEFAULT_RULE, OrderParams, SaddleSolution, psi_exploited,
-                      x_star)
+from .errors import DomainError, NonFiniteError
+from .gaussian import (erfc_half, gauss_moment_I, std_normal_pdf,
+                       truncated_scale_moments)
+from .replica import (OrderParams, SaddleSolution, final_good_field,
+                      psi_exploited)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -93,37 +95,14 @@ class ObservableSet:
     utility: float        # <u(x*)> over final goods; -inf when they hit zero
 
 
-def conditional_consumption(op: OrderParams, params: EnsembleParams,
-                            rule: QuadratureRule = DEFAULT_RULE):
-    """(x11, x01, x10, x00): mean availability by good class.
-
-    Final-good entries are quadratures of x*(t) over the Gaussian field;
-    non-final entries have the closed form <max(a, 0)> = w I_1(b) with
-    w = sqrt(n Omega), b = (x0 - kappa)/w.
-    """
-    w = np.sqrt(params.n * op.Omega)
-    out = []
-    for x0 in (1, 0):
-        out.append(gaussian_average(
-            lambda t: x_star(t, x0, 1, op, params.n), rule))
-    for x0 in (1, 0):
-        out.append(w * gauss_moment_I(1, (x0 - op.kappa) / w))
-    return tuple(float(v) for v in out)
-
-
-def utility_per_final_good(op: OrderParams, params: EnsembleParams,
-                           rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """<u(x*)> over final goods (log utility)."""
-    vals = []
-    for x0 in (1, 0):
-        vals.append(gaussian_average(
-            lambda t: np.log(x_star(t, x0, 1, op, params.n)), rule))
-    return float(params.pi * vals[0] + (1.0 - params.pi) * vals[1])
-
-
-def observable_set(sol: SaddleSolution,
-                   rule: QuadratureRule = DEFAULT_RULE) -> ObservableSet:
+def observable_set(sol: SaddleSolution) -> ObservableSet:
     """Observables of an industrial or collapsed solution.
+
+    Industrial: x11 and x01 average x* = (a + sqrt(a^2 + 4 chi))/2 and the
+    utility averages log x* over the final-good field, by endowment class;
+    the non-final x10 and x00 have the closed form <max(a, 0)> = w I_1(b)
+    with w = sqrt(n Omega), b = (x0 - kappa)/w.  Raises NonFiniteError when
+    log x* is not finite at a quadrature node.
 
     In the collapsed state nothing operates: every good keeps its
     endowment, so (x11, x01, x10, x00) = (1, 0, 1, 0), and the log utility
@@ -137,11 +116,23 @@ def observable_set(sol: SaddleSolution,
         x_mean = params.pi
         util = 0.0 if params.pi == 1.0 else float("-inf")
     else:
-        x11, x01, x10, x00 = conditional_consumption(op, params, rule)
+        n_omega = params.n * op.Omega
+        rule, a, root = final_good_field(op.kappa, n_omega, op.chi)
+        x = 0.5 * (a + root)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        if not np.all(np.isfinite(log_x)):
+            raise NonFiniteError("log x* is not finite at a quadrature node")
+        # rows are the classes x0 = 0, 1
+        x01, x11 = (float(np.dot(rule.weights, row)) for row in x)
+        u01, u11 = (float(np.dot(rule.weights, row)) for row in log_x)
+        w = np.sqrt(n_omega)
+        x10, x00 = (float(w * gauss_moment_I(1, (x0 - op.kappa) / w))
+                    for x0 in (1, 0))
         phi = active_fraction(op, params.eps)
         s1 = mean_scale(op, params.eps)
         x_mean = params.pi - params.n * params.eps * s1
-        util = utility_per_final_good(op, params, rule)
+        util = float(params.pi * u11 + (1.0 - params.pi) * u01)
     xc = params.f * (params.pi * x11 + (1.0 - params.pi) * x01)
     xw = (1.0 - params.f) * (params.pi * x10 + (1.0 - params.pi) * x00)
     return ObservableSet(phi=phi, s_mean=s1, x_mean=x_mean,

@@ -10,7 +10,9 @@ Gaussian
 and the representative good solves  k chi u'(x*) = x* - a  with
 a = x0 - kappa - sqrt(n Omega) t.  For log utility and chi > 0 this gives
 x* = (a + sqrt(a^2 + 4 chi))/2; for k = 0 or chi = 0 it clamps to
-x* = a Theta(a).
+x* = a Theta(a).  Non-final goods average in closed form; final goods on
+the Gauss-Hermite rule _RULE, whose nodes only final_good_field visits,
+for the M averages here and for the observables.
 
 Both branches are solved as one regular system in
 (Omega, kappa, ell, gamma, delta, chi) with ell = p chi, gamma = sigma chi
@@ -48,10 +50,13 @@ from scipy import optimize
 from . import critical
 from .ensemble import EnsembleParams
 from .errors import DomainError, NoConvergenceError, NonFiniteError, NoRootError
-from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
-                       truncated_scale_moments)
+from .gaussian import gauss_hermite_rule, gauss_moment_I, truncated_scale_moments
 
-DEFAULT_RULE = gauss_hermite_rule(120)
+#: the quadrature rule of every final-good average over t, read at call
+#: time (tests swap it to check the resolution)
+_RULE = gauss_hermite_rule(120)
+#: the residual evaluations each root solve may spend
+_BUDGET = 150
 
 
 @dataclass(frozen=True)
@@ -78,26 +83,6 @@ class SaddleSolution:
     iterations: int
 
 
-def x_star(t, x0: float, k: float, op: OrderParams, n: float):
-    """Representative-good optimum for a standard-normal draw t.
-
-    For k = 1 and chi > 0 this is the log-utility closed form
-    x* = (a + sqrt(a^2 + 4 chi))/2 of chi u'(x) = x - a; for k = 0 or
-    chi = 0 it is the clamp a Theta(a).
-    """
-    a = _shifted_gap(np.asarray(t, dtype=float), x0, op.kappa, n * op.Omega)
-    if k == 0 or op.chi == 0.0:
-        out = np.maximum(a, 0.0)
-    else:
-        out = 0.5 * (a + np.sqrt(a * a + 4.0 * op.chi))
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def _shifted_gap(t, x0, kappa, n_omega):
-    """a = x0 - kappa - sqrt(n Omega) t."""
-    return x0 - kappa - np.sqrt(n_omega) * t
-
-
 def _script_I(x0: float, kappa: float, n_omega: float):
     """Closed forms for the k = 0 contributions to the M averages.
 
@@ -116,15 +101,27 @@ def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
     return float(gauss_moment_I(0, (kappa - x0) / np.sqrt(n_omega)))
 
 
-def _moments(omega, kappa, chi, n, pi, f, rule):
+def final_good_field(kappa: float, n_omega: float, chi: float):
+    """(rule, a, root): the final-good field on the nodes t of the rule.
+
+    a = x0 - kappa - sqrt(n Omega) t and root = sqrt(a^2 + 4 chi), one row
+    per endowment class x0 in {0, 1}, so that x* = (a + root)/2 and
+    chi u'(x*) = (root - a)/2.  For chi < 0 the radicand is cut at zero,
+    which keeps the field finite for a solver that steps across chi = 0.
+    """
+    rule = _RULE
+    a = np.array([[0.0], [1.0]]) - kappa - np.sqrt(n_omega) * rule.nodes
+    return rule, a, np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
+
+
+def _moments(omega, kappa, chi, n, pi, f):
     """(M1, Mt, M2) at Omega, kappa, chi, averaged over the endowment law.
 
     Non-final goods (weight 1-f) contribute the closed-form clamp moments.
     Final goods (weight f) contribute quadratures over t of
     g = chi u'(x*) = (sqrt(a^2 + 4 chi) - a)/2 and of g t and g^2.  At
     chi = 0 that g is the clamp gap, so final goods take the closed form as
-    well; for chi < 0 the radicand is cut at zero, which keeps the moments
-    finite and continuous for a solver that steps across chi = 0.
+    well.
     """
     x0 = np.array([0.0, 1.0])
     weights = np.array([1.0 - pi, pi])
@@ -132,16 +129,15 @@ def _moments(omega, kappa, chi, n, pi, f, rule):
     clamp = np.array(_script_I(x0, kappa, n_omega)) @ weights
     if f == 0 or chi == 0.0:
         return clamp
+    rule, a, root = final_good_field(kappa, n_omega, chi)
     t, w = rule.nodes, rule.weights
-    a = _shifted_gap(t, x0[:, None], kappa, n_omega)
-    root = np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
     # the two forms of g agree; each is free of cancellation on its side
     g = np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
     final = np.array([(g @ w), (g @ (w * t)), ((g * g) @ w)]) @ weights
     return f * final + (1.0 - f) * clamp
 
 
-def moments_M(op: OrderParams, params: EnsembleParams, rule: QuadratureRule = DEFAULT_RULE):
+def moments_M(op: OrderParams, params: EnsembleParams):
     """The three disorder averages (M1, Mt, M2) entering the saddle equations.
 
     Final-good parts (weight f) are quadratures over t of chi u'(x*) and
@@ -152,16 +148,15 @@ def moments_M(op: OrderParams, params: EnsembleParams, rule: QuadratureRule = DE
         raise NonFiniteError("Omega must be positive in moments_M")
     if op.chi <= 0:
         raise DomainError("moments_M requires the industrial branch (chi > 0)")
-    m1, mt, m2 = _moments(op.Omega, op.kappa, op.chi, params.n, params.pi, params.f, rule)
+    m1, mt, m2 = _moments(op.Omega, op.kappa, op.chi, params.n, params.pi, params.f)
     return float(m1), float(mt), float(m2)
 
 
-def saddle_residual(op: OrderParams, params: EnsembleParams,
-                    rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
+def saddle_residual(op: OrderParams, params: EnsembleParams) -> np.ndarray:
     """Residuals of the six saddle-point equations (zero at a solution)."""
     if min(op.sigma, op.chi_hat, op.chi, op.Omega) <= 0:
         raise DomainError("saddle_residual requires Omega, sigma, chi, chi_hat > 0")
-    m1, mt, m2 = moments_M(op, params, rule)
+    m1, mt, m2 = moments_M(op, params)
     phi, s1, st, s2 = truncated_scale_moments(op.p, op.sigma, op.chi_hat, params.eps)
     rad = m2 / op.chi**2 - op.p**2
     if rad < 0:
@@ -186,7 +181,7 @@ def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
     omega, kappa, ell, gamma, delta = np.asarray(u, dtype=float)
     if min(gamma, delta, omega) <= 0:
         raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
-    m1, mt, m2 = _moments(omega, kappa, 0.0, params.n, params.pi, params.f, None)
+    m1, mt, m2 = _moments(omega, kappa, 0.0, params.n, params.pi, params.f)
     phi, s1, st, s2 = truncated_scale_moments(ell, gamma, delta, params.eps)
     rad = m2 - ell**2
     if rad < 0:
@@ -200,9 +195,9 @@ def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
     ])
 
 
-def _regular(u, n, pi, f, eps, rule):
+def _regular(u, n, pi, f, eps):
     omega, kappa, ell, gamma, delta, chi = u
-    m1, mt, m2 = _moments(omega, kappa, chi, n, pi, f, rule)
+    m1, mt, m2 = _moments(omega, kappa, chi, n, pi, f)
     phi, s1, _, s2 = truncated_scale_moments(ell, gamma, delta, eps)
     return np.array([
         ell - m1,
@@ -214,8 +209,7 @@ def _regular(u, n, pi, f, eps, rule):
     ])
 
 
-def regular_residual(u, params: EnsembleParams,
-                     rule: QuadratureRule = DEFAULT_RULE) -> np.ndarray:
+def regular_residual(u, params: EnsembleParams) -> np.ndarray:
     """Residuals of the six saddle-point equations in regular coordinates.
 
     u = (Omega, kappa, ell, gamma, delta, chi) with ell = p chi,
@@ -232,7 +226,7 @@ def regular_residual(u, params: EnsembleParams,
     u = np.asarray(u, dtype=float)
     if min(u[0], u[3], u[4]) <= 0:
         raise DomainError("regular_residual requires Omega, gamma, delta > 0")
-    return _regular(u, params.n, params.pi, params.f, params.eps, rule)
+    return _regular(u, params.n, params.pi, params.f, params.eps)
 
 
 # -- solver -------------------------------------------------------------------
@@ -273,12 +267,12 @@ class _Search:
     """Root solves of the regular system at fixed (f, eps).
 
     Each solve is Powell's hybrid method with a finite-difference Jacobian
-    and a budget of ``max_iter`` residual evaluations; ``evals`` counts the
+    and a budget of _BUDGET residual evaluations; ``evals`` counts the
     evaluations of every solve made.
     """
 
-    def __init__(self, params: EnsembleParams, rule, tol, max_iter):
-        self.params, self.rule, self.tol, self.max_iter = params, rule, tol, max_iter
+    def __init__(self, params: EnsembleParams, tol: float):
+        self.params, self.tol = params, tol
         self.scale = np.array([1.0, params.eps, params.eps, 1.0, 1.0, params.eps])
         self.evals = 0
 
@@ -300,12 +294,12 @@ class _Search:
         p = self.params
         self.evals += 1
         with np.errstate(all="ignore"):
-            r = _regular(self.to_u(z), n, pi, p.f, p.eps, self.rule)
+            r = _regular(self.to_u(z), n, pi, p.f, p.eps)
         return r if np.all(np.isfinite(r)) else np.full(6, 1e10)
 
     def _root(self, fun, x0):
         sol = optimize.root(fun, x0, method="hybr",
-                            options={"xtol": 1e-12, "maxfev": self.max_iter})
+                            options={"xtol": 1e-12, "maxfev": _BUDGET})
         return sol.x
 
     def industrial(self, z0, n, pi):
@@ -318,7 +312,7 @@ class _Search:
         op = OrderParams(omega, kappa, ell / chi, gamma / chi, chi, delta / chi)
         try:
             norm = float(np.linalg.norm(
-                saddle_residual(op, self.params.with_(n=n, pi=pi), self.rule)))
+                saddle_residual(op, self.params.with_(n=n, pi=pi))))
         except (DomainError, NonFiniteError):
             return None
         _, s1, _, _ = truncated_scale_moments(op.p, op.sigma, op.chi_hat, self.params.eps)
@@ -394,8 +388,7 @@ def _solution(params, branch, op, norm, evals):
 
 
 def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
-                 rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10,
-                 max_iter: int = 150) -> SaddleSolution:
+                 tol: float = 1e-10) -> SaddleSolution:
     """Solve the saddle-point equations at one parameter point.
 
     The regular system (see regular_residual) is solved from ``init``,
@@ -405,16 +398,15 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
     decides: pi <= pi_c is "collapsed", with no order parameters
     (op None) and residual 0; above it the root at (n, pi) = (2, 0.65) is continued to
     the requested point.  When pi_c does not exist (NoRootError), only the
-    industrial search runs.  ``max_iter`` is the budget of residual
-    evaluations of each root solve; ``iterations`` counts the evaluations
-    of all of them.
+    industrial search runs.  Each root solve may spend _BUDGET residual
+    evaluations; ``iterations`` counts the evaluations of all of them.
 
     Raises NoConvergenceError when neither label is established: a point
     is never called collapsed for want of a root.
     """
-    if tol <= 0 or max_iter < 1:
-        raise DomainError("tol and max_iter must be positive")
-    search = _Search(params, rule, tol, max_iter)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    search = _Search(params, tol)
     n, pi = params.n, params.pi
     starts = search.starts()
     warm = [] if init is None else [search.to_z(_regular_coords(init))]
@@ -440,8 +432,8 @@ def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
         + ("" if pi_c is None else f" (pi_c = {pi_c:.6g})"))
 
 
-def branch_switch_pi(n: float, eps: float, f: float = 0.5, pi_start: float = 0.95,
-                     rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-10) -> float:
+def branch_switch_pi(n: float, eps: float, f: float = 0.5,
+                     pi_start: float = 0.95) -> float:
     """The pi at which the industrial branch reaches chi = 0, at fixed (n, eps).
 
     The industrial root at pi_start is followed down in chi with pi as the
@@ -452,18 +444,17 @@ def branch_switch_pi(n: float, eps: float, f: float = 0.5, pi_start: float = 0.9
     industrial root or the walk does not reach chi = 0.
     """
     params = EnsembleParams(n=n, pi=pi_start, f=f, eps=eps)
-    sol = solve_saddle(params, rule=rule, tol=tol)
+    sol = solve_saddle(params)
     if sol.branch != "industrial":
         raise NoConvergenceError(f"no industrial solution at pi_start={pi_start}")
-    search = _Search(params, rule, tol, 150)
+    search = _Search(params, 1e-10)
     switch = search.switch(search.to_z(_regular_coords(sol.op)), pi_start)
     if switch is None:
         raise NoConvergenceError(f"the branch from pi_start={pi_start} did not reach chi = 0")
     return switch[1]
 
 
-def sweep(params_grid: Sequence[EnsembleParams], rule: QuadratureRule = DEFAULT_RULE,
-          tol: float = 1e-10):
+def sweep(params_grid: Sequence[EnsembleParams], tol: float = 1e-10):
     """Warm-started continuation along an ordered parameter grid.
 
     One entry per grid point, in order; points whose solve raises
@@ -474,7 +465,7 @@ def sweep(params_grid: Sequence[EnsembleParams], rule: QuadratureRule = DEFAULT_
     warm = None
     for params in params_grid:
         try:
-            sol = solve_saddle(params, init=warm, rule=rule, tol=tol)
+            sol = solve_saddle(params, init=warm, tol=tol)
         except NoConvergenceError:
             out.append(SaddleSolution(params=params, branch="failed", op=None,
                                       residual_norm=np.inf, iterations=0))

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import spearmanr
 
+from randecon import replica
 from randecon.critical import solve_critical_pi
 from randecon.ensemble import EnsembleParams, sample_economy
 from randecon.finite import (certify_equilibrium, lp_feasibility_fraction,
@@ -213,7 +214,7 @@ def _quad_oracle(f, lo, hi, kink=None):
     return val
 
 
-def test_criterion_8_oracle_suite():
+def test_criterion_8_oracle_suite(monkeypatch):
     """1000 random closed-form evaluations vs adaptive quadrature."""
     rng = np.random.default_rng(88)
     checked = 0
@@ -268,7 +269,8 @@ def test_criterion_8_oracle_suite():
     # quadrature-node doubling at a converged point
     params = BASE.with_(n=3.0, pi=0.9)
     coarse = solve_saddle(params)
-    fine = solve_saddle(params, init=coarse.op, rule=gauss_hermite_rule(240))
+    monkeypatch.setattr(replica, "_RULE", gauss_hermite_rule(240))
+    fine = solve_saddle(params, init=coarse.op)
     shift = np.max(np.abs(fine.op.as_array() - coarse.op.as_array()))
     print(f"criterion 8: {checked} oracle checks, node-doubling shift "
           f"{shift:.2e}")

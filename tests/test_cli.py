@@ -306,3 +306,16 @@ class TestPlumbing:
         proc = run_cli("saddle", "--n", "-1", "--pi", "0.65", "--f", "0.5",
                        "--eps", "0.1", check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("args, flag", (
+        (("sweep", "--var", "n"), "--from"),
+        (("critical-line",), "--from"),
+        (("sweep", "--var", "n", "--points", "3", "--from", "1"), "--to"),
+        (("lp-fraction", "--points", "3"), "--from"),
+        (("pca-probe", "--points", "2", "--to", "0.5"), "--from"),
+    ))
+    def test_missing_grid_end_exit_2(self, args, flag):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and flag in proc.stderr
+        assert "Traceback" not in proc.stderr

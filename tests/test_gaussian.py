@@ -7,14 +7,22 @@ from scipy.integrate import quad
 
 from randecon.errors import DomainError, NonFiniteError
 from randecon.gaussian import (QuadratureRule, erfc_half, gauss_hermite_rule,
-                               gauss_moment_I, gaussian_average,
-                               std_normal_pdf, truncated_scale_moments)
+                               gauss_moment_I, std_normal_pdf,
+                               truncated_scale_moments)
 
 RULE = gauss_hermite_rule(120)
 
 #: half-width of the split rule's window; the Gaussian mass outside ±12 is
 #: ~1.8e-33, far below double precision.
 WINDOW = 12.0
+
+
+def gaussian_average(f, rule: QuadratureRule) -> float:
+    """⟨f(t)⟩ evaluated as Σ w_i f(t_i) on the given rule."""
+    values = np.asarray(f(rule.nodes), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("integrand returned a non-finite value at a quadrature node")
+    return float(np.dot(rule.weights, values))
 
 
 def split_rule(kinks=(), nodes_per_segment=24, max_width=0.75):

@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from randecon.ensemble import EnsembleParams
-from randecon.observables import (ObservableSet, active_fraction,
-                                  conditional_consumption, goods_atom,
+from randecon.errors import NonFiniteError
+from randecon.gaussian import std_normal_pdf
+from randecon.observables import (ObservableSet, active_fraction, goods_atom,
                                   goods_density, mean_scale, observable_set,
                                   scale_density)
 from randecon.replica import OrderParams, SaddleSolution, solve_saddle
@@ -82,17 +83,15 @@ class TestGoodsDensity:
             limit=400)
         assert atom + integral == pytest.approx(1.0, abs=1e-9)
 
-    def test_k0_mean_matches_conditional(self, sol):
-        x11, x01, x10, x00 = conditional_consumption(sol.op, PARAMS)
-        for x0, want in ((1, x10), (0, x00)):
+    def test_k0_mean_matches_conditional(self, sol, obs):
+        for x0, want in ((1, obs.x10), (0, obs.x00)):
             mean, _ = quad(
                 lambda x: x * goods_density(x, x0, 0, sol.op, PARAMS), 0, 60,
                 limit=400)
             assert mean == pytest.approx(want, abs=1e-9)
 
-    def test_k1_mean_matches_conditional(self, sol):
-        x11, x01, _, _ = conditional_consumption(sol.op, PARAMS)
-        for x0, want in ((1, x11), (0, x01)):
+    def test_k1_mean_matches_conditional(self, sol, obs):
+        for x0, want in ((1, obs.x11), (0, obs.x01)):
             mean, _ = quad(
                 lambda x: x * goods_density(x, x0, 1, sol.op, PARAMS), 1e-12,
                 60, limit=400)
@@ -112,6 +111,37 @@ class TestObservableSet:
     def test_mean_availability_identity(self, obs):
         want = PARAMS.pi - PARAMS.n * PARAMS.eps * obs.s_mean
         assert obs.x_mean == pytest.approx(want, abs=1e-6)
+
+
+class TestUtility:
+    def test_against_adaptive_quadrature(self, sol, obs):
+        # <log x*> per class by adaptive quadrature, split where a = 0
+        op = sol.op
+        w = np.sqrt(PARAMS.n * op.Omega)
+        want = 0.0
+        for x0, weight in ((1.0, PARAMS.pi), (0.0, 1.0 - PARAMS.pi)):
+            def log_x(t):
+                a = x0 - op.kappa - w * t
+                root = np.sqrt(a * a + 4.0 * op.chi)
+                return np.log(0.5 * (a + root) if a > 0
+                              else 2.0 * op.chi / (root - a))
+            kink = (x0 - op.kappa) / w
+            assert abs(kink) < 12
+            val, err = quad(lambda t: log_x(t) * std_normal_pdf(t), -12, 12,
+                            points=[kink], limit=400, epsabs=1e-13,
+                            epsrel=1e-13)
+            assert err < 1e-11
+            want += weight * val
+        assert obs.utility == pytest.approx(want, abs=1e-9)
+
+    def test_underflow_raises(self):
+        # chi = 1e-20: a^2 + 4 chi rounds to a^2, so x* = 0 where a < 0
+        op = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=1e-20,
+                         chi_hat=1.4)
+        sol = SaddleSolution(params=PARAMS, branch="industrial", op=op,
+                             residual_norm=0.0, iterations=0)
+        with pytest.raises(NonFiniteError):
+            observable_set(sol)
 
 
 def collapsed(params):

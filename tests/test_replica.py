@@ -8,10 +8,10 @@ from randecon.critical import solve_critical_pi
 from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError, NoConvergenceError, NoRootError
 from randecon.gaussian import gauss_hermite_rule, std_normal_pdf
-from randecon.replica import (DEFAULT_RULE, OrderParams, branch_switch_pi,
+from randecon.replica import (OrderParams, branch_switch_pi, final_good_field,
                               moments_M, psi_exploited, regular_residual,
                               rescaled_residual, saddle_residual, solve_saddle,
-                              sweep, x_star)
+                              sweep)
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
 
@@ -24,26 +24,26 @@ def converged():
 
 
 class TestXStar:
+    """x* = (a + root)/2 on the final-good field, one row per x0 in {0, 1}."""
     OP = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=0.2,
                      chi_hat=1.4)
 
-    def test_clamp(self):
-        # k=0 with a < 0 (large positive t) clamps at zero
-        assert x_star(5.0, 0, 0, self.OP, n=1.0) == 0.0
+    def field(self, n, kappa=None):
+        kappa = self.OP.kappa if kappa is None else kappa
+        _, a, root = final_good_field(kappa, n * self.OP.Omega, self.OP.chi)
+        return a, 0.5 * (a + root)
 
     def test_at_gap_zero(self):
-        # k=1, a=0: quadratic gives sqrt(chi)
-        t0 = (0.0 - self.OP.kappa) / np.sqrt(1.0 * self.OP.Omega)
-        assert x_star(t0, 0, 1, self.OP, n=1.0) == pytest.approx(
-            np.sqrt(0.2), abs=1e-12)
+        # a = 0 at one node of the x0 = 0 row: x* = sqrt(chi)
+        nodes = replica._RULE.nodes
+        k = len(nodes) // 2
+        a, xs = self.field(1.0, kappa=-(np.sqrt(self.OP.Omega) * nodes[k]))
+        assert a[0, k] == 0.0
+        assert xs[0, k] == pytest.approx(np.sqrt(0.2), abs=1e-12)
 
     def test_fixed_point_residual(self):
-        rng = np.random.default_rng(3)
-        for t in rng.normal(size=20):
-            for x0 in (0, 1):
-                xs = x_star(t, x0, 1, self.OP, n=1.0)
-                a = x0 - self.OP.kappa - np.sqrt(self.OP.Omega) * t
-                assert self.OP.chi / xs == pytest.approx(xs - a, abs=1e-12)
+        a, xs = self.field(1.0)
+        np.testing.assert_allclose(self.OP.chi / xs, xs - a, rtol=0, atol=1e-12)
 
     @staticmethod
     def bracketed_root(a, chi, uprime):
@@ -56,11 +56,9 @@ class TestXStar:
                                xtol=1e-14, rtol=1e-12)
 
     def test_generic_utility_path_matches_log(self):
-        rng = np.random.default_rng(4)
-        for t in rng.normal(size=10):
-            closed = x_star(t, 1, 1, self.OP, n=2.0)
-            a = 1 - self.OP.kappa - np.sqrt(2.0 * self.OP.Omega) * t
-            generic = self.bracketed_root(a, self.OP.chi, lambda x: 1.0 / x)
+        a, xs = self.field(2.0)
+        for a_i, closed in zip(a[1], xs[1]):
+            generic = self.bracketed_root(a_i, self.OP.chi, lambda x: 1.0 / x)
             assert generic == pytest.approx(closed, abs=1e-10)
 
 
@@ -145,9 +143,9 @@ class TestSaddleSolve:
         assert op.Omega == pytest.approx(s2, abs=1e-9)
         assert op.Omega >= s1 ** 2
 
-    def test_node_doubling_stability(self, converged):
-        fine = gauss_hermite_rule(240)
-        sol = solve_saddle(PARAMS, init=converged.op, rule=fine)
+    def test_node_doubling_stability(self, converged, monkeypatch):
+        monkeypatch.setattr(replica, "_RULE", gauss_hermite_rule(240))
+        sol = solve_saddle(PARAMS, init=converged.op)
         assert np.max(np.abs(sol.op.as_array() - converged.op.as_array())) < 1e-7
 
     def test_collapsed_f_independence(self):
@@ -312,10 +310,10 @@ class TestPhaseLabels:
 
 
 class TestBudget:
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(replica, "_BUDGET", 5)
         with pytest.raises(NoConvergenceError):
-            solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1),
-                         max_iter=5)
+            solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
 
     def test_sweep_records_failed_point(self):
         sol = sweep([EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)],
