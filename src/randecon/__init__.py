@@ -17,7 +17,7 @@ from .ensemble import (EconomyInstance, EnsembleParams, intermediate_sweep_map,
 from .errors import (DomainError, NoConvergenceError, NonFiniteError,
                      NoRootError, RandeconError)
 from .gaussian import (QuadratureRule, gauss_hermite_rule, gauss_moment_I,
-                       truncated_scale_moments)
+                       half_moments, truncated_scale_moments)
 from .replica import (OrderParams, SaddleSolution, branch_switch_pi,
                       solve_saddle, sweep)
 from .observables import (ObservableSet, active_fraction, goods_density,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, NonFiniteError, NoRootError
-from .gaussian import gauss_moment_I
+from .gaussian import half_moments
 
 _XI_WINDOW = 10.0   # beyond |xi| ~ 10 the I_n underflow makes B meaningless
 _I2_FLOOR = 1e-100
@@ -43,13 +43,11 @@ def _ratio(xi, n, eps):
     """G/A = 1 - B/A at pi = 0, vectorised over xi; NaN where the moments
     underflow."""
     xi = np.asarray(xi, dtype=float)
-    i0 = gauss_moment_I(0, -xi)
-    i1 = gauss_moment_I(1, -xi)
-    i2 = gauss_moment_I(2, -xi)
+    i0, i1, i2 = half_moments(-xi)
     ok = (i0 > _I2_FLOOR) & (i2 > _I2_FLOOR)
     i0, i2 = np.where(ok, i0, 1.0), np.where(ok, i2, 1.0)
     t0 = np.sqrt(n / i2) * (xi * i0 / eps + eps * i1)
-    g = (i2 / i0**2) * gauss_moment_I(2, t0) / n
+    g = (i2 / i0**2) * half_moments(t0)[2] / n
     return np.where(ok, g / (1.0 + (xi / eps) ** 2), np.nan)
 
 

@@ -9,8 +9,9 @@ measure  Dt = (2π)^(-1/2) exp(-t²/2) dt.  Two evaluation routes exist:
       I_1(x) = ⟨Θ(t + x)(t + x)⟩   = x I_0(x) + pdf(x)
       I_2(x) = ⟨Θ(t + x)(t + x)²⟩  = (1 + x²) I_0(x) + x pdf(x)
 
-  for everything with a clamp or a truncation: non-final goods and the
-  production scales;
+  for everything with a clamp or a truncation: non-final goods, the
+  production scales and the phase boundary.  half_moments returns all
+  three of a shift from one erfc and one density evaluation;
 
 * quadrature against a :class:`QuadratureRule`, standardized
   Gauss-Hermite, for the final-good averages, which have no closed form
@@ -45,20 +46,19 @@ def erfc_half(x):
     return float(out) if out.ndim == 0 else out
 
 
+def half_moments(x):
+    """The half-Gaussian moments (I_0, I_1, I_2) of the shift x in one pass."""
+    x = np.asarray(x, dtype=float)
+    i0, pdf = erfc_half(-x / np.sqrt(2.0)), std_normal_pdf(x)
+    out = (i0, x * i0 + pdf, (1.0 + x * x) * i0 + x * pdf)
+    return tuple(map(float, out)) if x.ndim == 0 else out
+
+
 def gauss_moment_I(order, x):
     """Half-Gaussian moment I_n(x) = ⟨Θ(t + x)(t + x)^n⟩ for n in {0, 1, 2}."""
-    x = np.asarray(x, dtype=float)
-    i0 = erfc_half(-x / np.sqrt(2.0))
-    if order == 0:
-        out = i0
-    elif order == 1:
-        out = x * i0 + std_normal_pdf(x)
-    elif order == 2:
-        out = (1.0 + x * x) * i0 + x * std_normal_pdf(x)
-    else:
+    if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return half_moments(x)[int(order)]
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,7 @@ def truncated_scale_moments(p: float, sigma: float, chi_hat: float, eps: float):
         raise DomainError("sigma and chi_hat must be strictly positive")
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    x = -p * eps / sigma
-    i0 = gauss_moment_I(0, x)
-    i1 = gauss_moment_I(1, x)
-    i2 = gauss_moment_I(2, x)
+    i0, i1, i2 = half_moments(-p * eps / sigma)
     r = sigma / chi_hat
     # ⟨s* t⟩ = r ⟨(t+x)Θ(t+x) t⟩ = r (I_2 - x I_1) = r I_0 exactly
     return i0, r * i1, r * i0, r * r * i2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensemble import EnsembleParams
 from .errors import DomainError, NonFiniteError
-from .gaussian import (erfc_half, gauss_moment_I, std_normal_pdf,
+from .gaussian import (erfc_half, half_moments, std_normal_pdf,
                        truncated_scale_moments)
 from .replica import (OrderParams, SaddleSolution, final_good_field,
                       psi_exploited)
@@ -107,9 +107,13 @@ def observable_set(sol: SaddleSolution) -> ObservableSet:
     In the collapsed state nothing operates: every good keeps its
     endowment, so (x11, x01, x10, x00) = (1, 0, 1, 0), and the log utility
     pi log(1) + (1 - pi) log(0) of final goods is -inf unless pi = 1.
+    Any other branch (a "failed" sweep point) raises DomainError.
     """
     params = sol.params
     op = sol.op
+    if sol.branch not in ("industrial", "collapsed"):
+        raise DomainError(f"no observables for a solution with branch "
+                          f"{sol.branch!r}: it has no order parameters")
     if sol.branch == "collapsed":
         x11, x01, x10, x00 = 1.0, 0.0, 1.0, 0.0
         phi, s1 = 0.0, 0.0
@@ -127,7 +131,7 @@ def observable_set(sol: SaddleSolution) -> ObservableSet:
         x01, x11 = (float(np.dot(rule.weights, row)) for row in x)
         u01, u11 = (float(np.dot(rule.weights, row)) for row in log_x)
         w = np.sqrt(n_omega)
-        x10, x00 = (float(w * gauss_moment_I(1, (x0 - op.kappa) / w))
+        x10, x00 = (float(w * half_moments((x0 - op.kappa) / w)[1])
                     for x0 in (1, 0))
         phi = active_fraction(op, params.eps)
         s1 = mean_scale(op, params.eps)

@@ -50,7 +50,7 @@ from scipy import optimize
 from . import critical
 from .ensemble import EnsembleParams
 from .errors import DomainError, NoConvergenceError, NonFiniteError, NoRootError
-from .gaussian import gauss_hermite_rule, gauss_moment_I, truncated_scale_moments
+from .gaussian import gauss_hermite_rule, half_moments, truncated_scale_moments
 
 #: the quadrature rule of every final-good average over t, read at call
 #: time (tests swap it to check the resolution)
@@ -90,15 +90,13 @@ def _script_I(x0: float, kappa: float, n_omega: float):
     (kappa + sqrt(n Omega) t - x0) Theta(...) and its t / square moments.
     """
     w = np.sqrt(n_omega)
-    b = (kappa - x0) / w
-    return (w * gauss_moment_I(1, b),
-            w * gauss_moment_I(0, b),
-            n_omega * gauss_moment_I(2, b))
+    i0, i1, i2 = half_moments((kappa - x0) / w)
+    return w * i1, w * i0, n_omega * i2
 
 
 def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
     """Probability that a non-final good with endowment x0 is fully exploited."""
-    return float(gauss_moment_I(0, (kappa - x0) / np.sqrt(n_omega)))
+    return half_moments((kappa - x0) / np.sqrt(n_omega))[0]
 
 
 def final_good_field(kappa: float, n_omega: float, chi: float):

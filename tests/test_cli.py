@@ -313,6 +313,8 @@ class TestPlumbing:
         (("sweep", "--var", "n", "--points", "3", "--from", "1"), "--to"),
         (("lp-fraction", "--points", "3"), "--from"),
         (("pca-probe", "--points", "2", "--to", "0.5"), "--from"),
+        (("pca-probe", "--to", "0.5"), "--from"),
+        (("lp-fraction", "--to", "0.5"), "--from"),
     ))
     def test_missing_grid_end_exit_2(self, args, flag):
         proc = run_cli(*args, check=False)

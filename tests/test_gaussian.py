@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from randecon import gaussian
+from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError, NonFiniteError
 from randecon.gaussian import (QuadratureRule, erfc_half, gauss_hermite_rule,
-                               gauss_moment_I, std_normal_pdf,
+                               gauss_moment_I, half_moments, std_normal_pdf,
                                truncated_scale_moments)
+from randecon.replica import regular_residual
 
 RULE = gauss_hermite_rule(120)
 
@@ -126,6 +131,62 @@ class TestGaussMomentI:
         for x in (-2.5, -0.4, 0.0, 0.7, 3.1):
             assert gauss_moment_I(2, x) - x * gauss_moment_I(1, x) == \
                 pytest.approx(gauss_moment_I(0, x), abs=1e-12)
+
+
+def per_order_moment(order, x):
+    """I_order(x) by the per-order formulas half_moments replaced, each
+    with its own erfc and density evaluation."""
+    x = np.asarray(x, dtype=float)
+    i0 = erfc_half(-x / np.sqrt(2.0))
+    if order == 0:
+        out = i0
+    elif order == 1:
+        out = x * i0 + std_normal_pdf(x)
+    else:
+        out = (1.0 + x * x) * i0 + x * std_normal_pdf(x)
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
+
+
+SHIFTS = st.floats(min_value=-40.0, max_value=40.0)
+
+
+class TestHalfMoments:
+    @given(SHIFTS)
+    @example(0.0)
+    @example(-0.0)
+    def test_scalar_bits_match_per_order_formulas(self, x):
+        got = half_moments(x)
+        assert all(type(v) is float for v in got)
+        for order in (0, 1, 2):
+            assert got[order] == per_order_moment(order, x)
+            assert gauss_moment_I(order, x) == got[order]
+
+    @given(arrays(np.float64, st.integers(1, 8), elements=SHIFTS))
+    def test_array_bits_match_per_order_formulas(self, x):
+        got = half_moments(x)
+        for order in (0, 1, 2):
+            assert isinstance(got[order], np.ndarray)
+            assert got[order].shape == x.shape
+            assert np.array_equal(got[order], per_order_moment(order, x))
+
+    def test_bad_order_raises(self):
+        with pytest.raises(DomainError):
+            gauss_moment_I(3, 0.5)
+
+    def test_one_erfc_per_shift(self, monkeypatch):
+        # the clamp gap and the scale law each take their moments from one
+        # erfc evaluation: once per truncated_scale_moments call, twice per
+        # regular_residual evaluation
+        calls, erfc = [], gaussian.erfc
+        monkeypatch.setattr(gaussian, "erfc",
+                            lambda x: calls.append(x) or erfc(x))
+        truncated_scale_moments(0.4, 1.1, 0.9, 0.1)
+        assert len(calls) == 1
+        calls.clear()
+        regular_residual([1.0, 0.3, 0.3, 1.0, 1.0, 0.3],
+                         EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
+        assert len(calls) == 2
 
 
 class TestQuadratureRules:

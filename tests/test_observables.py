@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from randecon.ensemble import EnsembleParams
-from randecon.errors import NonFiniteError
+from randecon.errors import DomainError, NonFiniteError
 from randecon.gaussian import std_normal_pdf
 from randecon.observables import (ObservableSet, active_fraction, goods_atom,
                                   goods_density, mean_scale, observable_set,
@@ -169,6 +169,16 @@ class TestCollapsedBranch:
             EnsembleParams(n=0.2, pi=1.0, f=0.5, eps=0.1))).utility == 0.0
         assert observable_set(collapsed(
             EnsembleParams(n=0.2, pi=0.4, f=0.5, eps=0.1))).utility == float("-inf")
+
+
+class TestFailedBranch:
+    def test_refused_with_branch_named(self):
+        # a sweep records a point whose solve fails as branch "failed",
+        # with no order parameters to take observables of
+        failed = SaddleSolution(params=PARAMS, branch="failed", op=None,
+                                residual_norm=np.inf, iterations=0)
+        with pytest.raises(DomainError, match="'failed'"):
+            observable_set(failed)
 
 
 class TestJumpDecomposition:
