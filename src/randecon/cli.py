@@ -140,6 +140,9 @@ def _grid(args):
     if args.start is None:
         raise RandeconError("the grid needs --from (flag or config key start)")
     if args.points == 1:
+        if args.stop not in (None, args.start):
+            raise RandeconError("--to differs from --from, so the grid needs "
+                                "--points > 1 (flag or config key points)")
         return [args.start]
     if args.stop is None:
         raise RandeconError(f"--points {args.points} needs --to "

@@ -21,6 +21,7 @@ The test suite checks every closed form against adaptive quadrature.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def erfc_half(x):
 def half_moments(x):
     """The half-Gaussian moments (I_0, I_1, I_2) of the shift x in one pass."""
     x = np.asarray(x, dtype=float)
-    i0, pdf = erfc_half(-x / np.sqrt(2.0)), std_normal_pdf(x)
+    i0, pdf = erfc_half(x / -math.sqrt(2.0)), std_normal_pdf(x)
     out = (i0, x * i0 + pdf, (1.0 + x * x) * i0 + x * pdf)
     return tuple(map(float, out)) if x.ndim == 0 else out
 

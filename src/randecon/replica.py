@@ -12,7 +12,9 @@ a = x0 - kappa - sqrt(n Omega) t.  For log utility and chi > 0 this gives
 x* = (a + sqrt(a^2 + 4 chi))/2; for k = 0 or chi = 0 it clamps to
 x* = a Theta(a).  Non-final goods average in closed form; final goods on
 the Gauss-Hermite rule _RULE, whose nodes only final_good_field visits,
-for the M averages here and for the observables.
+for the M averages here and for the observables.  Every residual below
+takes its M averages and scale-law moments from one pass of _moments, with
+a single half_moments call on the shifts of both.
 
 Both branches are solved as one regular system in
 (Omega, kappa, ell, gamma, delta, chi) with ell = p chi, gamma = sigma chi
@@ -41,6 +43,7 @@ saddle_residual only to accept an industrial root.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,31 +111,40 @@ def final_good_field(kappa: float, n_omega: float, chi: float):
     which keeps the field finite for a solver that steps across chi = 0.
     """
     rule = _RULE
-    a = np.array([[0.0], [1.0]]) - kappa - np.sqrt(n_omega) * rule.nodes
+    a = np.array([[0.0 - kappa], [1.0 - kappa]]) - np.sqrt(n_omega) * rule.nodes
     return rule, a, np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
 
 
-def _moments(omega, kappa, chi, n, pi, f):
-    """(M1, Mt, M2) at Omega, kappa, chi, averaged over the endowment law.
+def _moments(omega, kappa, chi, scale, n, pi, f, eps):
+    """(M1, Mt, M2, phi, <s*>, <s* t>, <s*^2>) at one point, in one pass.
 
-    Non-final goods (weight 1-f) contribute the closed-form clamp moments.
-    Final goods (weight f) contribute quadratures over t of
-    g = chi u'(x*) = (sqrt(a^2 + 4 chi) - a)/2 and of g t and g^2.  At
-    chi = 0 that g is the clamp gap, so final goods take the closed form as
-    well.
+    scale is (p, sigma, chi_hat), or (ell, gamma, delta) in regular
+    coordinates.  One half_moments call takes all three shifts: the clamp
+    classes (kappa - x0)/sqrt(n Omega), x0 in {0, 1}, and -p eps/sigma of
+    s*.  Non-final goods (weight 1-f) take the closed-form clamp moments,
+    final goods (weight f) quadratures over t of g = chi u'(x*) and of g t
+    and g^2; at chi = 0 g is the clamp gap, so they close as well.  The
+    scalars are Python floats; each endowment average stays a 3x2 @ weights
+    product, whose bits a written-out sum does not keep.
     """
-    x0 = np.array([0.0, 1.0])
-    weights = np.array([1.0 - pi, pi])
+    p, sigma, chi_hat = scale
     n_omega = n * omega
-    clamp = np.array(_script_I(x0, kappa, n_omega)) @ weights
-    if f == 0 or chi == 0.0:
-        return clamp
-    rule, a, root = final_good_field(kappa, n_omega, chi)
-    t, w = rule.nodes, rule.weights
-    # the two forms of g agree; each is free of cancellation on its side
-    g = np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
-    final = np.array([(g @ w), (g @ (w * t)), ((g * g) @ w)]) @ weights
-    return f * final + (1.0 - f) * clamp
+    # a numpy scalar: where n Omega underflows to 0, x / w gives inf, not an error
+    w = np.sqrt(n_omega)
+    i0, i1, i2 = (m.tolist() for m in half_moments(
+        np.array([kappa / w, (kappa - 1.0) / w, -p * eps / sigma])))
+    weights = np.array([1.0 - pi, pi])
+    m = (np.array([[w * i1[0], w * i1[1]], [w * i0[0], w * i0[1]],
+                   [n_omega * i2[0], n_omega * i2[1]]]) @ weights).tolist()
+    if f != 0 and chi != 0.0:
+        rule, a, root = final_good_field(kappa, n_omega, chi)
+        t, wt = rule.nodes, rule.weights
+        # the two forms of g agree; each is free of cancellation on its side
+        g = np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
+        final = np.array([g @ wt, g @ (wt * t), (g * g) @ wt]) @ weights
+        m = [f * x + (1.0 - f) * y for x, y in zip(final.tolist(), m)]
+    r = sigma / chi_hat
+    return (*m, i0[2], r * i1[2], r * i0[2], r * r * i2[2])
 
 
 def moments_M(op: OrderParams, params: EnsembleParams):
@@ -146,16 +158,18 @@ def moments_M(op: OrderParams, params: EnsembleParams):
         raise NonFiniteError("Omega must be positive in moments_M")
     if op.chi <= 0:
         raise DomainError("moments_M requires the industrial branch (chi > 0)")
-    m1, mt, m2 = _moments(op.Omega, op.kappa, op.chi, params.n, params.pi, params.f)
-    return float(m1), float(mt), float(m2)
+    # the M averages do not depend on the scale law: a unit one stands in
+    return _moments(op.Omega, op.kappa, op.chi, (0.0, 1.0, 1.0),
+                    params.n, params.pi, params.f, params.eps)[:3]
 
 
 def saddle_residual(op: OrderParams, params: EnsembleParams) -> np.ndarray:
     """Residuals of the six saddle-point equations (zero at a solution)."""
     if min(op.sigma, op.chi_hat, op.chi, op.Omega) <= 0:
         raise DomainError("saddle_residual requires Omega, sigma, chi, chi_hat > 0")
-    m1, mt, m2 = moments_M(op, params)
-    phi, s1, st, s2 = truncated_scale_moments(op.p, op.sigma, op.chi_hat, params.eps)
+    m1, mt, m2, phi, s1, st, s2 = _moments(
+        op.Omega, op.kappa, op.chi, (op.p, op.sigma, op.chi_hat),
+        params.n, params.pi, params.f, params.eps)
     rad = m2 / op.chi**2 - op.p**2
     if rad < 0:
         raise DomainError("sigma-equation radicand is negative")
@@ -179,8 +193,8 @@ def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
     omega, kappa, ell, gamma, delta = np.asarray(u, dtype=float)
     if min(gamma, delta, omega) <= 0:
         raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
-    m1, mt, m2 = _moments(omega, kappa, 0.0, params.n, params.pi, params.f)
-    phi, s1, st, s2 = truncated_scale_moments(ell, gamma, delta, params.eps)
+    m1, mt, m2, phi, s1, st, s2 = _moments(
+        omega, kappa, 0.0, (ell, gamma, delta), params.n, params.pi, params.f, params.eps)
     rad = m2 - ell**2
     if rad < 0:
         raise DomainError("gamma-equation radicand is negative")
@@ -194,13 +208,13 @@ def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
 
 
 def _regular(u, n, pi, f, eps):
-    omega, kappa, ell, gamma, delta, chi = u
-    m1, mt, m2 = _moments(omega, kappa, chi, n, pi, f)
-    phi, s1, _, s2 = truncated_scale_moments(ell, gamma, delta, eps)
+    omega, kappa, ell, gamma, delta, chi = u.tolist()
+    m1, mt, m2, phi, s1, _, s2 = _moments(omega, kappa, chi, (ell, gamma, delta),
+                                          n, pi, f, eps)
     return np.array([
         ell - m1,
         delta - mt / np.sqrt(n * omega),
-        gamma - np.sqrt(max(m2 - ell * ell, 0.0)),
+        gamma - math.sqrt(max(m2 - ell * ell, 0.0)),
         omega - s2,
         kappa - ell - n * eps * s1,
         delta - n * phi,
@@ -276,7 +290,7 @@ class _Search:
 
     def to_u(self, z):
         u = np.array(z, dtype=float)
-        u[_LOG] = np.exp(np.clip(u[_LOG], -700.0, 700.0))
+        u[_LOG] = np.exp(np.minimum(np.maximum(u[_LOG], -700.0), 700.0))
         return u / self.scale
 
     def to_z(self, u):
@@ -293,7 +307,7 @@ class _Search:
         self.evals += 1
         with np.errstate(all="ignore"):
             r = _regular(self.to_u(z), n, pi, p.f, p.eps)
-        return r if np.all(np.isfinite(r)) else np.full(6, 1e10)
+        return r if all(map(math.isfinite, r.tolist())) else np.full(6, 1e10)
 
     def _root(self, fun, x0):
         sol = optimize.root(fun, x0, method="hybr",

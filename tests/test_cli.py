@@ -315,6 +315,10 @@ class TestPlumbing:
         (("pca-probe", "--points", "2", "--to", "0.5"), "--from"),
         (("pca-probe", "--to", "0.5"), "--from"),
         (("lp-fraction", "--to", "0.5"), "--from"),
+        (("critical-line", "--from", "1", "--to", "2"), "--points"),
+        (("sweep", "--var", "n", "--from", "1", "--to", "2"), "--points"),
+        (("lp-fraction", "--from", "0.3", "--to", "0.5", "--points", "1"), "--points"),
+        (("pca-probe", "--from", "0.3", "--to", "0.5"), "--points"),
     ))
     def test_missing_grid_end_exit_2(self, args, flag):
         proc = run_cli(*args, check=False)
