@@ -30,15 +30,27 @@ Three numerical experiments on sampled economies:
 * ``pca_probe``: samples vertices of the full feasible polytope by
   maximizing random linear objectives, and measures the elongation of
   the sampled cloud by the top eigenvalue of its correlation matrix.
+
+Every LP, the phase-one LP of ``solve_equilibrium`` included, goes
+through this module's ``linprog``, a thin wrapper over the HiGHS binding
+that scipy ships: the dense constraint matrix goes to HiGHS column by
+column, and its dual simplex solves the LP with presolve off, on a fresh
+solver object per call, so concurrent calls share no solver state.  An
+optimum counts only when it also passes the bound and row check of
+``scipy.optimize.linprog``, whose Python layer (option validation, a
+sparse copy of the matrix, a loop over the basis) would cost about a
+third of each LP.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as _highs
 
 from .ensemble import EconomyInstance, EnsembleParams, sample_economy
 from .errors import DomainError, NoConvergenceError
@@ -81,6 +93,86 @@ class EquilibriumSolution:
         return int(np.count_nonzero(self.s_star > ACTIVE_THRESHOLD))
 
 
+def _lp_options() -> _highs.HighsOptions:
+    opts = _highs.HighsOptions()
+    opts.solver = "simplex"
+    opts.simplex_strategy = int(
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    opts.presolve = "off"
+    opts.output_flag = False
+    return opts
+
+
+#: HiGHS settings of every LP: dual simplex, no presolve, no output; only
+#: read, never written, so concurrent calls can share them
+_LP_OPTIONS = _lp_options()
+#: HiGHS's optimum must also satisfy the bounds and rows to this, as
+#: scipy.optimize.linprog checks (10 sqrt(tol) at its tol = 1e-9)
+_LP_TOL = 10.0 * math.sqrt(1e-9)
+#: scipy.optimize.linprog's status codes of the HiGHS model statuses;
+#: any other model status is 4
+_LP_STATUS = {_highs.HighsModelStatus.kOptimal: 0,
+              _highs.HighsModelStatus.kIterationLimit: 1,
+              _highs.HighsModelStatus.kTimeLimit: 1,
+              _highs.HighsModelStatus.kInfeasible: 2,
+              _highs.HighsModelStatus.kUnbounded: 3}
+
+
+def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
+            lower, upper) -> OptimizeResult:
+    """Minimize c x subject to a_ub x <= b_ub and lower <= x <= upper.
+
+    The dense (m, n) ``a_ub`` goes to HiGHS column by column, with every
+    entry stored, and HiGHS's dual simplex (Huangfu & Hall, *Math. Prog.
+    Comp.* 2018) solves it with presolve off, on a fresh solver object
+    per call.  ``lower`` and ``upper`` are scalars or length-n arrays;
+    m may be 0.  Returns ``x``, ``fun``, ``status`` and ``message`` with
+    ``scipy.optimize.linprog``'s status codes.  ``status`` is 0 only when
+    HiGHS reports an optimum and ``x`` is finite and within the bounds and
+    rows to 10 sqrt(1e-9), the check ``linprog`` makes, so a NaN in the
+    data gives a nonzero status, never 0.  ``x`` and ``fun`` are None
+    when HiGHS reports no optimum.
+    """
+    m, n = a_ub.shape
+    # HiGHS reads n costs and bounds and m row bounds from the pointers
+    if np.shape(c) != (n,) or np.shape(b_ub) != (m,):
+        raise DomainError(f"linprog needs c of length {n} and b_ub of "
+                          f"length {m} for a_ub of shape {a_ub.shape}")
+    lower, upper = np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
+    solver = _highs._Highs()
+    solver.passOptions(_LP_OPTIONS)
+    # HiGHS rejects NaN bounds itself, but loops without end on a NaN cost
+    loaded = (np.isfinite(c).all() and np.isfinite(a_ub).all()
+              and solver.passModel(
+                  n, m, m * n, int(_highs.MatrixFormat.kColwise),
+                  int(_highs.ObjSense.kMinimize), 0.0, c, lower, upper,
+                  np.full(m, -np.inf), b_ub,
+                  np.arange(n + 1, dtype=np.int32) * m,
+                  np.tile(np.arange(m, dtype=np.int32), n),
+                  a_ub.ravel(order="F"),
+                  np.zeros(n, dtype=np.int32))      # every column continuous
+              != _highs.HighsStatus.kError)
+    if not loaded:
+        return OptimizeResult(x=None, fun=None, status=4,
+                              message="non-finite data, or a model HiGHS "
+                                      "rejects")
+    solver.run()
+    model_status = solver.getModelStatus()
+    message = solver.modelStatusToString(model_status)
+    if model_status != _highs.HighsModelStatus.kOptimal:
+        return OptimizeResult(x=None, fun=None, message=message,
+                              status=_LP_STATUS.get(model_status, 4))
+    x = np.array(solver.getSolution().col_value)
+    fun = solver.getInfo().objective_function_value
+    valid = (math.isfinite(fun) and np.isfinite(x).all()
+             and (x >= lower - _LP_TOL).all() and (x <= upper + _LP_TOL).all()
+             and (a_ub @ x <= b_ub + _LP_TOL).all())
+    if not valid:
+        message = "HiGHS's optimum fails the bound and row check"
+    return OptimizeResult(x=x, fun=fun, status=0 if valid else 4,
+                          message=message)
+
+
 def _empty_interior(econ: EconomyInstance) -> bool:
     """Whether the feasible set has empty interior (a collapsed instance).
 
@@ -94,9 +186,8 @@ def _empty_interior(econ: EconomyInstance) -> bool:
     c = np.zeros(n_act + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-q.T, np.ones((n_goods, 1))])   # t - (q^T s)_c <= x0_c
-    res = linprog(c, A_ub=a_ub, b_ub=x0,
-                  bounds=[(0.0, s_cap)] * n_act + [(None, 0.25)],
-                  method="highs-ds")
+    res = linprog(c, a_ub, x0, np.r_[np.zeros(n_act), -np.inf],
+                  np.r_[np.full(n_act, s_cap), 0.25])
     if res.status != 0:
         raise NoConvergenceError(f"phase-one LP failed: {res.message}")
     return float(res.x[-1]) <= 1e-7
@@ -486,11 +577,8 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
             feasible += 1
             continue
         lps += 1
-        non_primary = econ.x0 == 0
-        a_ub = -econ.q.T[non_primary]
-        res = linprog(-np.ones(econ.N), A_ub=a_ub if a_ub.size else None,
-                      b_ub=np.zeros(int(non_primary.sum())) if a_ub.size else None,
-                      bounds=(0.0, 1.0), method="highs-ds")
+        a_ub = -econ.q.T[econ.x0 == 0]
+        res = linprog(-np.ones(econ.N), a_ub, np.zeros(len(a_ub)), 0.0, 1.0)
         if res.status != 0:
             failures += 1
             continue
@@ -565,8 +653,7 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
             obj = np.abs(rng.standard_normal(econ.N))
             obj /= np.linalg.norm(obj)
             cap = max(float(x0.sum()), 1.0) / params.eps
-            res = linprog(-obj, A_ub=a_ub, b_ub=np.concatenate([x0, [cap]]),
-                          bounds=(0.0, None), method="highs-ds")
+            res = linprog(-obj, a_ub, np.concatenate([x0, [cap]]), 0.0, np.inf)
             if res.status == 0:
                 vertices.append(res.x)
         verts = np.array(vertices)

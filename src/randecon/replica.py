@@ -86,17 +86,6 @@ class SaddleSolution:
     iterations: int
 
 
-def _script_I(x0: float, kappa: float, n_omega: float):
-    """Closed forms for the k = 0 contributions to the M averages.
-
-    Returns (I1, It, I2) where the integrand is the clamp gap
-    (kappa + sqrt(n Omega) t - x0) Theta(...) and its t / square moments.
-    """
-    w = np.sqrt(n_omega)
-    i0, i1, i2 = half_moments((kappa - x0) / w)
-    return w * i1, w * i0, n_omega * i2
-
-
 def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
     """Probability that a non-final good with endowment x0 is fully exploited."""
     return half_moments((kappa - x0) / np.sqrt(n_omega))[0]
@@ -145,22 +134,6 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
         m = [f * x + (1.0 - f) * y for x, y in zip(final.tolist(), m)]
     r = sigma / chi_hat
     return (*m, i0[2], r * i1[2], r * i0[2], r * r * i2[2])
-
-
-def moments_M(op: OrderParams, params: EnsembleParams):
-    """The three disorder averages (M1, Mt, M2) entering the saddle equations.
-
-    Final-good parts (weight f) are quadratures over t of chi u'(x*) and
-    its t / square moments, averaged over the two-point endowment law;
-    non-final parts (weight 1-f) are the closed-form clamp moments.
-    """
-    if op.Omega <= 0:
-        raise NonFiniteError("Omega must be positive in moments_M")
-    if op.chi <= 0:
-        raise DomainError("moments_M requires the industrial branch (chi > 0)")
-    # the M averages do not depend on the scale law: a unit one stands in
-    return _moments(op.Omega, op.kappa, op.chi, (0.0, 1.0, 1.0),
-                    params.n, params.pi, params.f, params.eps)[:3]
 
 
 def saddle_residual(op: OrderParams, params: EnsembleParams) -> np.ndarray:

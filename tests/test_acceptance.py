@@ -249,14 +249,15 @@ def test_criterion_8_oracle_suite(monkeypatch):
                                 kink=kink)
             assert val == pytest.approx(want, abs=1e-8)
             checked += 1
-    # clamp-gap moments entering the saddle equations
-    from randecon.replica import _script_I
+    # clamp-gap moments entering the saddle equations: the residual
+    # kernel's non-final part (f = 0, chi = 0) with all weight on class x0
     for _ in range(50):
         x0 = float(rng.integers(2))
         kappa = rng.uniform(-1, 1.5)
         n_omega = rng.uniform(0.05, 2.0)
         w = np.sqrt(n_omega)
-        got = _script_I(x0, kappa, n_omega)
+        got = replica._moments(n_omega, kappa, 0.0, (0.0, 1.0, 1.0),
+                               1.0, x0, 0.0, 0.1)[:3]
         kink = (x0 - kappa) / w
         gap = lambda t: max(kappa + w * t - x0, 0.0)
         for val, f in zip(got, (gap, lambda t: gap(t) * t,

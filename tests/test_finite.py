@@ -59,6 +59,20 @@ def phase_one_status(econ):
     return "infeasible" if np.any(k & (econ.x0 <= 0)) else "optimal"
 
 
+@pytest.fixture
+def counted_lps(monkeypatch):
+    """Every call of ``finite.linprog``, the name ``bench/tracing.py``
+    wraps, counted by a wrapper around the module's own function."""
+    calls, original = [], finite.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(finite, "linprog", counting_linprog)
+    return calls
+
+
 class TestSolveEquilibrium:
     def test_no_final_goods(self):
         econ = sample_economy(PARAMS.with_(f=0.0), C=20, seed=1)
@@ -184,18 +198,11 @@ class TestSolveEquilibrium:
         pytest.param(EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1), 29,
                      773660801, "infeasible", 1, id="empty-interior"),
     ])
-    def test_lp_only_confirms_empty_interior(self, monkeypatch, params, C,
+    def test_lp_only_confirms_empty_interior(self, counted_lps, params, C,
                                              seed, status, lps):
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(finite, "linprog", counting_linprog)
         sol = solve_equilibrium(sample_economy(params, C=C, seed=seed))
         assert sol.status == status
-        assert len(calls) == lps
+        assert len(counted_lps) == lps
         if status == "infeasible":
             # confirmed at the stall test, not after the loop ran out
             assert sol.newton_steps == finite._STALL_ITER
@@ -222,6 +229,92 @@ class TestSolveEquilibrium:
         monkeypatch.setattr(finite, "cho_factor", failing)
         with pytest.raises(NoConvergenceError):
             solve_equilibrium(sample_economy(PARAMS, C=33, seed=7))
+
+
+def lp_shapes(econ, rng):
+    """The three LPs of ``finite`` on one economy, each as
+    (c, a_ub, b_ub, lower, upper): a cone (no rows when every good is
+    primary), phase one with its free t column, and a PCA LP with its
+    cap row."""
+    non_primary = econ.x0 == 0
+    cap = econ.x0.sum() / econ.eps + 1.0
+    obj = np.abs(rng.standard_normal(econ.N))
+    obj /= np.linalg.norm(obj)
+    return {
+        "cone": (-np.ones(econ.N), -econ.q.T[non_primary],
+                 np.zeros(int(non_primary.sum())), 0.0, 1.0),
+        "phase_one": (np.r_[np.zeros(econ.N), -1.0],
+                      np.hstack([-econ.q.T, np.ones((econ.C, 1))]), econ.x0,
+                      np.r_[np.zeros(econ.N), -np.inf],
+                      np.r_[np.full(econ.N, cap), 0.25]),
+        "pca": (-obj, np.vstack([-econ.q.T, np.ones((1, econ.N))]),
+                np.r_[econ.x0, max(econ.x0.sum(), 1.0) / econ.eps],
+                0.0, np.inf),
+    }
+
+
+def scipy_lp(c, a_ub, b_ub, lower, upper):
+    """The reference: the same LP through ``scipy.optimize.linprog``."""
+    bounds = np.column_stack([np.broadcast_to(lower, c.shape),
+                              np.broadcast_to(upper, c.shape)])
+    return linprog(c, A_ub=a_ub if a_ub.size else None,
+                   b_ub=b_ub if a_ub.size else None, bounds=bounds,
+                   method="highs-ds")
+
+
+#: the decision each LP shape feeds: an open cone, an empty interior
+DECISIONS = {"cone": lambda res: -res.fun > finite._OPEN_CONE,
+             "phase_one": lambda res: res.x[-1] <= 1e-7,
+             "pca": lambda res: None}
+
+
+class TestLinprog:
+    """``finite.linprog`` against ``scipy.optimize.linprog``'s dual simplex."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(C=st.integers(10, 40), n=st.floats(0.5, 3.0),
+           pi=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           eps=st.sampled_from((0.1, 0.01)), seed=st.integers(0, 2**31 - 1))
+    def test_matches_scipy(self, C, n, pi, eps, seed):
+        econ = sample_economy(EnsembleParams(n=n, pi=pi, f=0.5, eps=eps),
+                              C=C, seed=seed)
+        for shape, lp in lp_shapes(econ, np.random.default_rng(seed)).items():
+            got, want = finite.linprog(*lp), scipy_lp(*lp)
+            assert got.status == want.status == 0, shape
+            assert got.fun == pytest.approx(want.fun, rel=1e-9, abs=1e-12)
+            assert DECISIONS[shape](got) == DECISIONS[shape](want), shape
+
+    def test_cone_without_rows(self):
+        econ = sample_economy(EnsembleParams(n=1.0, pi=1.0, f=0.5, eps=0.1),
+                              C=20, seed=3)
+        lp = lp_shapes(econ, np.random.default_rng(3))["cone"]
+        assert lp[1].shape == (0, econ.N)
+        got, want = finite.linprog(*lp), scipy_lp(*lp)
+        assert got.status == want.status == 0
+        assert got.fun == want.fun == -econ.N
+        np.testing.assert_array_equal(got.x, np.ones(econ.N))
+
+    def test_infeasible_is_not_optimal(self):
+        # x1 + x2 <= -1 has no point with x >= 0
+        lp = (np.ones(2), np.array([[1.0, 1.0]]), np.array([-1.0]), 0.0, 1.0)
+        got, want = finite.linprog(*lp), scipy_lp(*lp)
+        assert got.status == want.status == 2
+        assert got.x is None
+
+    @pytest.mark.parametrize("c, b_ub", [(np.ones(3), np.ones(2)),
+                                         (np.ones(2), np.ones(1))])
+    def test_shape_mismatch_raises(self, c, b_ub):
+        with pytest.raises(DomainError):
+            finite.linprog(c, np.ones((2, 2)), b_ub, 0.0, 1.0)
+
+    @pytest.mark.parametrize("where", ["c", "a_ub", "b_ub", "lower", "upper"])
+    def test_nan_is_not_optimal(self, where):
+        econ = sample_economy(PARAMS, C=20, seed=5)
+        c, a_ub, b_ub, _, _ = lp_shapes(econ, np.random.default_rng(5))["pca"]
+        lp = {"c": c, "a_ub": a_ub, "b_ub": b_ub,
+              "lower": np.zeros(econ.N), "upper": np.full(econ.N, np.inf)}
+        lp[where].flat[3] = np.nan
+        assert finite.linprog(**lp).status != 0
 
 
 def spd_matrix(N, seed):
@@ -431,6 +524,11 @@ class TestFeasibilityFraction:
                     assert (rec.feasible_count, rec.failures) == (
                         per_pi_feasibility(point, 30, 8, seed))
 
+    def test_every_lp_goes_through_module_linprog(self, counted_lps):
+        params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
+        rec = lp_feasibility_fraction(params, C=40, trials=10, base_seed=520)
+        assert len(counted_lps) == rec.lps > 0
+
     def test_repeat_at_one_point_solves_nothing(self):
         params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
         first = lp_feasibility_fraction(params, C=40, trials=10, base_seed=510)
@@ -516,6 +614,12 @@ class TestPowerIteration:
 
 
 class TestPcaProbe:
+    def test_every_lp_goes_through_module_linprog(self, counted_lps):
+        params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
+        pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                  base_seed=0)
+        assert len(counted_lps) == 2 * 6
+
     def test_record_shape(self):
         params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
         rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,

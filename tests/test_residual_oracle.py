@@ -3,7 +3,7 @@
 replica._moments evaluates the clamp classes, the final-good quadrature and
 the scale law of one point in a single pass.  The oracles here are the
 same residuals assembled the long way, from the per-part functions
-(_script_I for the clamp classes, final_good_field for the final goods,
+(script_I for the clamp classes, final_good_field for the final goods,
 truncated_scale_moments for the scale law), with the same floating-point
 operations; the kernel must give the same bits, NaN for NaN.
 """
@@ -14,9 +14,18 @@ from hypothesis import example, given, settings, strategies as st
 from randecon import replica
 from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError
-from randecon.gaussian import truncated_scale_moments
-from randecon.replica import (OrderParams, _script_I, final_good_field,
+from randecon.gaussian import half_moments, truncated_scale_moments
+from randecon.replica import (OrderParams, final_good_field,
                               rescaled_residual, saddle_residual)
+
+
+def script_I(x0, kappa, n_omega):
+    """Closed forms (I1, It, I2) of the clamp gap
+    (kappa + sqrt(n Omega) t - x0) Theta(...), its t and its square
+    moments: the k = 0 contributions to the M averages."""
+    w = np.sqrt(n_omega)
+    i0, i1, i2 = half_moments((kappa - x0) / w)
+    return w * i1, w * i0, n_omega * i2
 
 
 def oracle_moments(omega, kappa, chi, n, pi, f):
@@ -24,7 +33,7 @@ def oracle_moments(omega, kappa, chi, n, pi, f):
     x0 = np.array([0.0, 1.0])
     weights = np.array([1.0 - pi, pi])
     n_omega = n * omega
-    clamp = np.array(_script_I(x0, kappa, n_omega)) @ weights
+    clamp = np.array(script_I(x0, kappa, n_omega)) @ weights
     if f == 0 or chi == 0.0:
         return clamp
     rule, a, root = final_good_field(kappa, n_omega, chi)
