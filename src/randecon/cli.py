@@ -17,7 +17,7 @@ lp-fraction's count of solved LPs (``lps``).  ``--config FILE`` reads
 ``key = value`` lines; each is parsed, after the command line, as the
 subcommand's flag with that destination (``start`` for ``--from``,
 ``tech_draws`` or ``tech-draws`` for ``--tech-draws``), so file entries
-win over flags and ``fix`` lines add to ``--fix``.
+win over flags.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import scipy
@@ -86,6 +87,13 @@ def _params_from(args) -> EnsembleParams:
     return EnsembleParams(n=args.n, pi=args.pi, f=args.f, eps=args.eps)
 
 
+def _lp_params(args, pi) -> EnsembleParams:
+    # the LPs of lp-fraction and pca-probe never read the final goods k,
+    # and sample_economy draws q and x0 before k, so any f gives the same
+    # LPs: f is fixed
+    return EnsembleParams(n=args.n, pi=float(pi), f=0.5, eps=args.eps)
+
+
 # ---------------------------------------------------------------- subcommands
 
 #: the saddle-point cells that open every saddle and sweep row
@@ -130,7 +138,7 @@ def _emit_solutions(args, command, solutions, observables):
 def _cmd_saddle(args):
     # a one-point sweep: a solve that fails is a "failed" row, as in _cmd_sweep
     return _emit_solutions(args, "saddle",
-                           sweep([_params_from(args)], tol=args.tol),
+                           sweep([_params_from(args)]),
                            ("phi", "s_mean", "x_mean", "utility"))
 
 
@@ -150,26 +158,19 @@ def _grid(args):
     return list(np.linspace(args.start, args.stop, args.points))
 
 
-def _intermediate_ratios(fix):
-    """(f/n, pi/n) from the ``--fix`` entries of an i sweep."""
-    try:
-        ratios = dict(kv.split("=", 1) for kv in fix or ())
-        return float(ratios["f-over-n"]), float(ratios["pi-over-n"])
-    except (KeyError, ValueError):
-        raise RandeconError("--var i needs --fix pi-over-n=VALUE and "
-                            "--fix f-over-n=VALUE") from None
-
-
 def _cmd_sweep(args):
     if args.var is None:
         raise RandeconError("sweep needs --var (flag or config key)")
     if args.var == "i":
-        f_over_n, pi_over_n = _intermediate_ratios(args.fix)
-        grid = [intermediate_sweep_map(f_over_n, pi_over_n, v, eps=args.eps)
-                for v in _grid(args)]
+        for flag, ratio in (("--pi-over-n", args.pi_over_n),
+                            ("--f-over-n", args.f_over_n)):
+            if ratio is None:
+                raise RandeconError(f"--var i needs {flag} (flag or config key)")
+        grid = [intermediate_sweep_map(args.f_over_n, args.pi_over_n, v,
+                                       eps=args.eps) for v in _grid(args)]
     else:
         grid = [_params_from(args).with_(**{args.var: v}) for v in _grid(args)]
-    return _emit_solutions(args, "sweep", sweep(grid, tol=args.tol),
+    return _emit_solutions(args, "sweep", sweep(grid),
                            ("phi", "s_mean", "x_mean", "x11", "x01", "x10",
                             "x00", "consumption", "waste", "utility"))
 
@@ -210,8 +211,8 @@ def _run_pi_grid(args, one_point):
 
 def _cmd_lp_fraction(args):
     def one(pi):
-        params = _params_from(args).with_(pi=float(pi))
-        return lp_feasibility_fraction(params, args.C, args.trials, args.seed)
+        return lp_feasibility_fraction(_lp_params(args, pi), args.C,
+                                       args.trials, args.seed)
     pis, recs = _run_pi_grid(args, one)
     cols = ("n", "pi", "eps", "N", "trials", "feasible_count", "fraction")
     rows = [(r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)
@@ -226,8 +227,7 @@ def _cmd_lp_fraction(args):
 
 def _cmd_pca_probe(args):
     def one(pi):
-        params = _params_from(args).with_(pi=float(pi))
-        return pca_probe(params, args.C, args.tech_draws,
+        return pca_probe(_lp_params(args, pi), args.C, args.tech_draws,
                          args.objective_draws, args.seed)
     pis, recs = _run_pi_grid(args, one)
     cols = ("n", "pi", "eps", "N", "C", "samples", "lambda_max",
@@ -296,10 +296,11 @@ def _cmd_validate(args):
 
 # -------------------------------------------------------------------- parsing
 
-def _add_params(sub, pi_default=0.65):
+def _add_params(sub, pi_default=0.65, f=True):
     sub.add_argument("--n", type=float, default=2.0)
     sub.add_argument("--pi", type=float, default=pi_default)
-    sub.add_argument("--f", type=float, default=0.5)
+    if f:
+        sub.add_argument("--f", type=float, default=0.5)
     sub.add_argument("--eps", type=float, default=0.1)
 
 
@@ -309,11 +310,6 @@ def _add_io(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None,
                      help="key=value file with flag defaults")
-
-
-def _add_tol(sub):
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="saddle_residual norm that accepts a root")
 
 
 def _add_grid(sub):
@@ -327,31 +323,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="randecon",
         description="numerical laboratory for large random production economies")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # a flag is given in full: no abbreviation stands in for a setting
+    add_parser = partial(subs.add_parser, allow_abbrev=False)
 
-    p = subs.add_parser("saddle", help="solve one saddle point")
+    p = add_parser("saddle", help="solve one saddle point")
     _add_params(p)
     _add_io(p)
-    _add_tol(p)
     p.set_defaults(func=_cmd_saddle)
 
-    p = subs.add_parser("sweep", help="1-d parameter sweep with continuation")
+    p = add_parser("sweep", help="1-d parameter sweep with continuation")
     p.add_argument("--var", choices=("n", "pi", "f", "eps", "i"),
                    default=None)
-    p.add_argument("--fix", action="append", metavar="KEY=VALUE",
-                   help="fixed ratios for --var i (f-over-n, pi-over-n)")
+    p.add_argument("--pi-over-n", type=float, default=None,
+                   help="fixed pi/n of --var i")
+    p.add_argument("--f-over-n", type=float, default=None,
+                   help="fixed f/n of --var i")
     _add_grid(p)
     _add_params(p)
     _add_io(p)
-    _add_tol(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = subs.add_parser("critical-line", help="analytic phase boundary")
+    p = add_parser("critical-line", help="analytic phase boundary")
     p.add_argument("--eps", type=float, default=0.1)
     _add_grid(p)
     _add_io(p)
     p.set_defaults(func=_cmd_critical_line)
 
-    p = subs.add_parser("finite", help="Monte Carlo equilibrium observables")
+    p = add_parser("finite", help="Monte Carlo equilibrium observables")
     _add_params(p)
     p.add_argument("--C", type=int, default=50)
     p.add_argument("--instances", type=int, default=100)
@@ -359,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=_cmd_finite)
 
-    p = subs.add_parser("lp-fraction", help="homogeneous-cone feasibility")
-    _add_params(p)
+    p = add_parser("lp-fraction", help="homogeneous-cone feasibility")
+    _add_params(p, f=False)
     p.add_argument("--C", type=int, default=100)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
@@ -368,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=_cmd_lp_fraction)
 
-    p = subs.add_parser("pca-probe", help="feasible-set elongation probe")
-    _add_params(p, pi_default=0.4)
+    p = add_parser("pca-probe", help="feasible-set elongation probe")
+    _add_params(p, pi_default=0.4, f=False)
     p.add_argument("--C", type=int, default=100)
     p.add_argument("--tech-draws", type=int, default=10)
     p.add_argument("--objective-draws", type=int, default=25)
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=_cmd_pca_probe)
 
-    p = subs.add_parser("validate", help="quick invariant self-checks")
+    p = add_parser("validate", help="quick invariant self-checks")
     p.set_defaults(func=_cmd_validate)
 
     return parser

@@ -565,7 +565,6 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
         _scan_line = line
     brackets, unknown = line[1], (-1, C + 1)
     feasible = failures = lps = 0
-    N = None
     for idx in range(trials):
         econ = sample_economy(params, C, base_seed + idx)
         N = econ.N
@@ -601,7 +600,7 @@ class GeometryRecord:
     eps: float
     N: int
     C: int
-    samples: int
+    samples: int              # vertices in the clouds lambda_max averages over
     lambda_max: float
     collapsed: bool
 
@@ -638,8 +637,7 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
         raise DomainError("need at least two draws of each kind")
-    lams = []
-    N = None
+    lams, samples = [], 0
     for tech in range(n_tech_draws):
         seed = base_seed + 1000 * tech
         econ = sample_economy(params, C, seed)
@@ -660,10 +658,11 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
         if len(verts) < 2 or np.all(np.abs(verts) < 1e-12):
             continue
         lams.append(_top_eigenvalue(verts))
+        samples += len(verts)
     if not lams:
         return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps,
                               N=N, C=C, samples=0, lambda_max=float("nan"),
                               collapsed=True)
     return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps, N=N, C=C,
-                          samples=len(lams) * n_objective_draws,
+                          samples=samples,
                           lambda_max=float(np.mean(lams)), collapsed=False)

@@ -52,7 +52,7 @@ from scipy import optimize
 
 from . import critical
 from .ensemble import EnsembleParams
-from .errors import DomainError, NoConvergenceError, NonFiniteError, NoRootError
+from .errors import DomainError, NoConvergenceError, NoRootError
 from .gaussian import gauss_hermite_rule, half_moments, truncated_scale_moments
 
 #: the quadrature rule of every final-good average over t, read at call
@@ -60,6 +60,8 @@ from .gaussian import gauss_hermite_rule, half_moments, truncated_scale_moments
 _RULE = gauss_hermite_rule(120)
 #: the residual evaluations each root solve may spend
 _BUDGET = 150
+#: the saddle_residual norm at or below which a root is accepted
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,8 @@ class _Search:
     evaluations of every solve made.
     """
 
-    def __init__(self, params: EnsembleParams, tol: float):
-        self.params, self.tol = params, tol
+    def __init__(self, params: EnsembleParams):
+        self.params = params
         self.scale = np.array([1.0, params.eps, params.eps, 1.0, 1.0, params.eps])
         self.evals = 0
 
@@ -289,7 +291,7 @@ class _Search:
 
     def industrial(self, z0, n, pi):
         """(z, op, norm) for a root with chi > 0, <s*> > 0 and
-        saddle_residual norm <= tol at (n, pi), or None."""
+        saddle_residual norm <= _TOL at (n, pi), or None."""
         z = self._root(lambda z: self.residual(z, n, pi), z0)
         omega, kappa, ell, gamma, delta, chi = (float(v) for v in self.to_u(z))
         if not chi > 0:
@@ -298,10 +300,10 @@ class _Search:
         try:
             norm = float(np.linalg.norm(
                 saddle_residual(op, self.params.with_(n=n, pi=pi))))
-        except (DomainError, NonFiniteError):
+        except DomainError:
             return None
         _, s1, _, _ = truncated_scale_moments(op.p, op.sigma, op.chi_hat, self.params.eps)
-        if not (norm <= self.tol and s1 > 0):
+        if not (norm <= _TOL and s1 > 0):
             return None
         return z, op, norm
 
@@ -311,7 +313,7 @@ class _Search:
         At chi = 0 the equations keep a nearly flat direction, the overall
         scale of the rescaled state (they are exactly scale-free only as
         that scale vanishes), and the solve creeps along it with pi fixed;
-        there a residual of sqrt(tol) is accepted."""
+        there a residual norm of sqrt(_TOL) is accepted, elsewhere _TOL."""
         zchi = chi * self.params.eps
         n = self.params.n
 
@@ -319,7 +321,7 @@ class _Search:
             return self.residual(np.append(w[:5], zchi), n, w[5])
 
         w = self._root(fun, np.append(z0[:5], pi0))
-        accept = self.tol if chi > 0 else np.sqrt(self.tol)
+        accept = _TOL if chi > 0 else np.sqrt(_TOL)
         if not np.linalg.norm(fun(w)) <= accept:
             return None
         return np.append(w[:5], zchi), float(w[5])
@@ -372,26 +374,24 @@ def _solution(params, branch, op, norm, evals):
                           iterations=evals)
 
 
-def solve_saddle(params: EnsembleParams, init: Optional[OrderParams] = None,
-                 tol: float = 1e-10) -> SaddleSolution:
+def solve_saddle(params: EnsembleParams,
+                 init: Optional[OrderParams] = None) -> SaddleSolution:
     """Solve the saddle-point equations at one parameter point.
 
     The regular system (see regular_residual) is solved from ``init``,
     then from the two cold starts.  A root with chi > 0, <s*> > 0 and
-    saddle_residual norm <= tol is labelled "industrial".  Failing that,
-    the analytic boundary pi_c(n, eps) (critical.solve_critical_pi)
-    decides: pi <= pi_c is "collapsed", with no order parameters
-    (op None) and residual 0; above it the root at (n, pi) = (2, 0.65) is continued to
-    the requested point.  When pi_c does not exist (NoRootError), only the
+    saddle_residual norm <= _TOL (1e-10) is labelled "industrial".
+    Failing that, the analytic boundary pi_c(n, eps)
+    (critical.solve_critical_pi) decides: pi <= pi_c is "collapsed", with
+    no order parameters (op None) and residual 0; above it the root at
+    (n, pi) = (2, 0.65) is continued to the requested point.  When pi_c does not exist (NoRootError), only the
     industrial search runs.  Each root solve may spend _BUDGET residual
     evaluations; ``iterations`` counts the evaluations of all of them.
 
     Raises NoConvergenceError when neither label is established: a point
     is never called collapsed for want of a root.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    search = _Search(params, tol)
+    search = _Search(params)
     n, pi = params.n, params.pi
     starts = search.starts()
     warm = [] if init is None else [search.to_z(_regular_coords(init))]
@@ -432,14 +432,14 @@ def branch_switch_pi(n: float, eps: float, f: float = 0.5,
     sol = solve_saddle(params)
     if sol.branch != "industrial":
         raise NoConvergenceError(f"no industrial solution at pi_start={pi_start}")
-    search = _Search(params, 1e-10)
+    search = _Search(params)
     switch = search.switch(search.to_z(_regular_coords(sol.op)), pi_start)
     if switch is None:
         raise NoConvergenceError(f"the branch from pi_start={pi_start} did not reach chi = 0")
     return switch[1]
 
 
-def sweep(params_grid: Sequence[EnsembleParams], tol: float = 1e-10):
+def sweep(params_grid: Sequence[EnsembleParams]):
     """Warm-started continuation along an ordered parameter grid.
 
     One entry per grid point, in order; points whose solve raises
@@ -450,7 +450,7 @@ def sweep(params_grid: Sequence[EnsembleParams], tol: float = 1e-10):
     warm = None
     for params in params_grid:
         try:
-            sol = solve_saddle(params, init=warm, tol=tol)
+            sol = solve_saddle(params, init=warm)
         except NoConvergenceError:
             out.append(SaddleSolution(params=params, branch="failed", op=None,
                                       residual_norm=np.inf, iterations=0))

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import scipy
 
-from randecon.cli import SOLUTION_COLUMNS, _fmt_cell, _solution_rows, parse_args
+from randecon import replica
+from randecon.cli import (SOLUTION_COLUMNS, _fmt_cell, _solution_rows,
+                          build_parser, main, parse_args)
 from randecon.ensemble import EnsembleParams
 from randecon.finite import lp_feasibility_fraction
 from randecon.replica import SaddleSolution, sweep
@@ -16,6 +18,21 @@ from randecon.replica import SaddleSolution, sweep
 FIGURES = sorted((pathlib.Path(__file__).parent.parent / "figures").glob("*.conf"))
 
 CLI = [sys.executable, "-m", "randecon"]
+
+#: the option strings of each subcommand, sorted
+SETTINGS = {
+    "saddle": "--config --eps --f --format --n --output --pi -o",
+    "sweep": "--config --eps --f --f-over-n --format --from --n --output "
+             "--pi --pi-over-n --points --to --var -o",
+    "critical-line": "--config --eps --format --from --output --points --to -o",
+    "finite": "--C --config --eps --f --format --instances --n --output --pi "
+              "--seed -o",
+    "lp-fraction": "--C --config --eps --format --from --n --output --pi "
+                   "--points --seed --to --trials -o",
+    "pca-probe": "--C --config --eps --format --from --n --objective-draws "
+                 "--output --pi --points --seed --tech-draws --to -o",
+    "validate": "",
+}
 
 
 def run_cli(*args, check=True):
@@ -69,12 +86,11 @@ class TestSaddle:
         assert row["branch"] == "industrial"
         assert payload["meta"]["command"] == "saddle"
 
-    def test_failed_solve_is_a_failed_row(self):
-        # no root meets this tolerance: a "failed" row and the partial exit
-        proc = run_cli("saddle", "--n", "2", "--pi", "0.65", "--tol", "1e-30",
-                       check=False)
-        assert proc.returncode == 1, proc.stderr
-        row = data_rows(proc.stdout)[1].split(",")
+    def test_failed_solve_is_a_failed_row(self, monkeypatch, capsys):
+        # no root within this budget: a "failed" row and the partial exit
+        monkeypatch.setattr(replica, "_BUDGET", 5)
+        assert main(["saddle", "--n", "2", "--pi", "0.65"]) == 1
+        row = data_rows(capsys.readouterr().out)[1].split(",")
         assert row[4] == "failed"
         assert row[-4:] == ["nan"] * 4
 
@@ -96,8 +112,8 @@ class TestSweep:
 
     def test_intermediate_sweep(self):
         proc = run_cli("sweep", "--var", "i", "--from", "0.1", "--to", "0.3",
-                       "--points", "3", "--fix", "f-over-n=0.3",
-                       "--fix", "pi-over-n=0.4", "--eps", "0.1")
+                       "--points", "3", "--f-over-n", "0.3",
+                       "--pi-over-n", "0.4", "--eps", "0.1")
         rows = data_rows(proc.stdout)
         assert len(rows) == 4
 
@@ -106,17 +122,15 @@ class TestSweep:
                        "--points", "2", check=False)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("fix", (("f-over-n=0.3",),
-                                     ("f-over-n=0.3", "pi-over-n")))
+    @pytest.mark.parametrize("fix", (("--f-over-n", "0.3"),
+                                     ("--pi-over-n", "0.4")))
     def test_intermediate_sweep_needs_both_ratios(self, fix):
-        # one ratio missing, or an entry without '=': a usage error that
-        # names the entries expected
-        flags = [arg for kv in fix for arg in ("--fix", kv)]
+        # one fixed ratio given: a usage error that names the other's flag
+        missing, = {"--pi-over-n", "--f-over-n"} - {fix[0]}
         proc = run_cli("sweep", "--var", "i", "--from", "0.1", "--to", "0.3",
-                       "--points", "2", *flags, check=False)
+                       "--points", "2", *fix, check=False)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error:")
-        assert "pi-over-n=" in proc.stderr and "f-over-n=" in proc.stderr
+        assert proc.stderr.startswith("error:") and missing in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_csv_schema(self):
@@ -167,8 +181,8 @@ class TestFiniteCommands:
         assert len(rows) == 2
 
     def test_lp_fraction_pi_grid(self):
-        proc = run_cli("lp-fraction", "--n", "1", "--eps", "0.1", "--f",
-                       "0.5", "--C", "40", "--trials", "5", "--seed", "0",
+        proc = run_cli("lp-fraction", "--n", "1", "--eps", "0.1",
+                       "--C", "40", "--trials", "5", "--seed", "0",
                        "--from", "0.2", "--to", "0.6", "--points", "3")
         rows = data_rows(proc.stdout)
         assert len(rows) == 4
@@ -190,7 +204,7 @@ class TestFiniteCommands:
         assert len(lps) == 1 and 1 <= int(lps[0].split("=")[1]) <= 15
 
     def test_pca_probe(self):
-        proc = run_cli("pca-probe", "--n", "1", "--pi", "0.6", "--f", "0.5",
+        proc = run_cli("pca-probe", "--n", "1", "--pi", "0.6",
                        "--eps", "0.1", "--C", "25", "--tech-draws", "2",
                        "--objective-draws", "4", "--seed", "0")
         rows = data_rows(proc.stdout)
@@ -240,13 +254,34 @@ class TestPlumbing:
                        check=False)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("command",
-                             ("critical-line", "finite", "lp-fraction", "pca-probe"))
-    def test_tol_only_on_saddle_solves(self, command):
-        # only saddle and sweep read --tol; elsewhere it is a usage error
+    @pytest.mark.parametrize("command", SETTINGS)
+    def test_settings_surface(self, command):
+        # every setting of every subcommand, so a new one shows in SETTINGS
+        subs = next(a for a in build_parser()._actions
+                    if a.dest == "subcommand")
+        got = {opt for action in subs.choices[command]._actions
+               for opt in action.option_strings}
+        assert sorted(got - {"-h", "--help"}) == SETTINGS[command].split()
+
+    @pytest.mark.parametrize("command", SETTINGS)
+    def test_no_tol_flag(self, command):
+        # a root is accepted at the fixed replica._TOL, on every subcommand
         proc = run_cli(command, "--tol", "1e-8", check=False)
         assert proc.returncode == 2
         assert "--tol" in proc.stderr
+
+    @pytest.mark.parametrize("args, flag", (
+        (("sweep", "--fix", "pi-over-n=0.4"), "--fix"),
+        (("lp-fraction", "--f", "0.9"), "--f"),
+        (("pca-probe", "--f", "0.9"), "--f"),
+        (("pca-probe", "--tech", "3"), "--tech"),
+    ))
+    def test_removed_flags_exit_2(self, args, flag):
+        # the ratios of --var i are typed flags, the LP commands take no f,
+        # and no abbreviation stands in for a flag
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: " + flag in proc.stderr
 
     @pytest.mark.parametrize("command", ("lp-fraction", "pca-probe"))
     def test_no_workers_flag(self, command):
@@ -274,13 +309,12 @@ class TestPlumbing:
         assert from_file == from_flags
 
     def test_config_keys_and_precedence(self, tmp_path):
-        # fix lines add to the --fix flags, other entries override their
-        # flags; '-' and '_' in a key are alike
+        # entries override their flags; '-' and '_' in a key are alike
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fix = pi-over-n=0.4\nstart = 0.1\n")
-        args = parse_args(["sweep", "--fix", "f-over-n=0.3", "--from", "0.5",
-                           "--config", str(cfg)])
-        assert args.fix == ["f-over-n=0.3", "pi-over-n=0.4"]
+        cfg.write_text("pi-over-n = 0.4\nstart = 0.1\n")
+        args = parse_args(["sweep", "--pi-over-n", "0.2", "--f-over-n", "0.3",
+                           "--from", "0.5", "--config", str(cfg)])
+        assert (args.pi_over_n, args.f_over_n) == (0.4, 0.3)
         assert args.start == 0.1
         cfg.write_text("tech-draws = 3\nobjective_draws = 4\n")
         args = parse_args(["pca-probe", "--tech-draws", "5",
@@ -288,7 +322,8 @@ class TestPlumbing:
         assert (args.tech_draws, args.objective_draws) == (3, 4)
 
     @pytest.mark.parametrize("command, entry, message", (
-        ("sweep", "fix = pi-over-n=0.4", "f-over-n="),
+        ("sweep", "pi_over_n = 0.4", "--f-over-n"),
+        ("sweep", "fix = pi-over-n=0.4", "unknown config key: fix"),
         ("saddle", "format = xml", "invalid choice: 'xml'"),
         ("critical-line", "points = 1.5", "invalid int value: '1.5'"),
         ("saddle", "func = x", "unknown config key: func"),

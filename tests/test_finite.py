@@ -628,6 +628,26 @@ class TestPcaProbe:
         assert 1.0 <= rec.lambda_max <= rec.N + 1e-6
         assert 0.0 < rec.lambda_max_over_N <= 1.0
 
+    def test_samples_count_the_vertices(self, monkeypatch):
+        # an LP that fails adds no vertex to its draw's cloud, nor a sample
+        params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
+        rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                        base_seed=0)
+        assert rec.samples == 2 * 6
+        calls, original = [], finite.linprog
+
+        def second_fails(*args):
+            calls.append(1)
+            res = original(*args)
+            if len(calls) == 2:
+                res.status = 4
+            return res
+
+        monkeypatch.setattr(finite, "linprog", second_fails)
+        rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                        base_seed=0)
+        assert rec.samples == 2 * 6 - 1
+
     def test_null_model_far_below_criterion(self):
         # isotropic vertex cloud: correlation spectrum stays near the
         # Marchenko-Pastur edge (1 + sqrt(N/M))^2, nowhere near N

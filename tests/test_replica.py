@@ -319,9 +319,9 @@ class TestBudget:
         with pytest.raises(NoConvergenceError):
             solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
 
-    def test_sweep_records_failed_point(self):
-        sol = sweep([EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)],
-                    tol=1e-30)[0]
+    def test_sweep_records_failed_point(self, monkeypatch):
+        monkeypatch.setattr(replica, "_BUDGET", 5)
+        sol = sweep([EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)])[0]
         assert sol.branch == "failed" and sol.op is None
 
     @staticmethod

@@ -167,7 +167,7 @@ class TestRegularKernel:
 class TestSearchResidual:
     @staticmethod
     def search():
-        return replica._Search(BASE, 1e-10)
+        return replica._Search(BASE)
 
     def test_nan_input_gives_the_flag_vector(self):
         s = self.search()
