@@ -72,13 +72,15 @@ def _fmt_cell(v):
     return str(v)
 
 
-def _meta(args, command):
+def _meta(args, command, unread=()):
+    # provenance, then every setting the run read: all but those in unread
     items = {"command": command, "version": __version__,
              "numpy": np.__version__, "scipy": scipy.__version__,
              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
              "wall_s": round(time.perf_counter() - args.started, 3)}
+    skip = {"func", "config", "started", *unread}
     for key, val in sorted(vars(args).items()):
-        if key not in ("func", "config", "started") and val is not None:
+        if key not in skip and val is not None:
             items[f"arg.{key}"] = val
     return items
 
@@ -127,10 +129,10 @@ def _solution_rows(solutions, observables):
     return rows
 
 
-def _emit_solutions(args, command, solutions, observables):
+def _emit_solutions(args, command, solutions, observables, unread=()):
     rows = _solution_rows(solutions, observables)
-    _emit(args.output, _meta(args, command), SOLUTION_COLUMNS + observables,
-          rows, args.format)
+    _emit(args.output, _meta(args, command, unread),
+          SOLUTION_COLUMNS + observables, rows, args.format)
     failed = any(sol.branch == "failed" for sol in solutions)
     return _EXIT_PARTIAL if failed else _EXIT_OK
 
@@ -161,18 +163,22 @@ def _grid(args):
 def _cmd_sweep(args):
     if args.var is None:
         raise RandeconError("sweep needs --var (flag or config key)")
+    for flag, ratio in (("--pi-over-n", args.pi_over_n),
+                        ("--f-over-n", args.f_over_n)):
+        if (ratio is None) == (args.var == "i"):
+            raise RandeconError(
+                f"--var i needs {flag} (flag or config key)" if ratio is None
+                else f"{flag} is read only by --var i, not --var {args.var}")
     if args.var == "i":
-        for flag, ratio in (("--pi-over-n", args.pi_over_n),
-                            ("--f-over-n", args.f_over_n)):
-            if ratio is None:
-                raise RandeconError(f"--var i needs {flag} (flag or config key)")
         grid = [intermediate_sweep_map(args.f_over_n, args.pi_over_n, v,
                                        eps=args.eps) for v in _grid(args)]
+        unread = ("n", "pi", "f")   # the ratios set all three
     else:
         grid = [_params_from(args).with_(**{args.var: v}) for v in _grid(args)]
+        unread = (args.var,)
     return _emit_solutions(args, "sweep", sweep(grid),
                            ("phi", "s_mean", "x_mean", "x11", "x01", "x10",
-                            "x00", "consumption", "waste", "utility"))
+                            "x00", "consumption", "waste", "utility"), unread)
 
 
 def _cmd_critical_line(args):
@@ -201,26 +207,27 @@ def _cmd_finite(args):
 
 def _run_pi_grid(args, one_point):
     """Shared pi-grid driver for lp-fraction and pca-probe: one thread per
-    grid point up to the CPU count (HiGHS releases the GIL)."""
+    grid point up to the CPU count (HiGHS releases the GIL).  Returns the
+    records and the settings left unread: pi, if there is a grid."""
     gridded = args.points > 1 or args.start is not None or args.stop is not None
     pis = _grid(args) if gridded else [args.pi]
     workers = min(len(pis), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return pis, list(pool.map(one_point, pis))
+        return list(pool.map(one_point, pis)), ("pi",) if gridded else ()
 
 
 def _cmd_lp_fraction(args):
     def one(pi):
         return lp_feasibility_fraction(_lp_params(args, pi), args.C,
                                        args.trials, args.seed)
-    pis, recs = _run_pi_grid(args, one)
+    recs, unread = _run_pi_grid(args, one)
     cols = ("n", "pi", "eps", "N", "trials", "feasible_count", "fraction")
     rows = [(r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)
             for r in recs]
     failures = sum(r.failures for r in recs)
     # LPs solved over the grid; the rest were settled by the remembered
     # cone thresholds, so the count varies with the threads' interleaving
-    meta = dict(_meta(args, "lp-fraction"), lps=sum(r.lps for r in recs))
+    meta = dict(_meta(args, "lp-fraction", unread), lps=sum(r.lps for r in recs))
     _emit(args.output, meta, cols, rows, args.format)
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
@@ -229,13 +236,13 @@ def _cmd_pca_probe(args):
     def one(pi):
         return pca_probe(_lp_params(args, pi), args.C, args.tech_draws,
                          args.objective_draws, args.seed)
-    pis, recs = _run_pi_grid(args, one)
+    recs, unread = _run_pi_grid(args, one)
     cols = ("n", "pi", "eps", "N", "C", "samples", "lambda_max",
             "lambda_max_over_N", "collapsed")
     rows = [(r.n, r.pi, r.eps, r.N, r.C, r.samples, r.lambda_max,
              r.lambda_max_over_N, r.collapsed) for r in recs]
     failures = sum(1 for r in recs if r.collapsed)
-    _emit(args.output, _meta(args, "pca-probe"), cols, rows, args.format)
+    _emit(args.output, _meta(args, "pca-probe", unread), cols, rows, args.format)
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
 

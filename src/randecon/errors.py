@@ -14,7 +14,12 @@ class NonFiniteError(RandeconError, ArithmeticError):
 
 
 class NoConvergenceError(RandeconError, RuntimeError):
-    """An iterative solver exhausted its budget without meeting tolerance."""
+    """An iterative solver exhausted its budget without meeting tolerance;
+    ``evaluations`` counts the residual evaluations it spent, where known."""
+
+    def __init__(self, message, evaluations=0):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 class NoRootError(RandeconError, RuntimeError):

@@ -35,11 +35,11 @@ sixth, delta = n phi, holds only at the branch switch pi_s(n, eps).
 Every root is found by Powell's hybrid method on this one system, in
 coordinates scaled by eps (plain damped fixed-point iteration diverges:
 the fixed-point map has an expanding eigendirection along
-(Omega, kappa, chi)).  A solve that establishes neither label raises
-NoConvergenceError; sweeps use warm-started continuation and record such
-points as "failed".  saddle_residual states the chi > 0 equations in the
-original variables, rescaled_residual the chi = 0 ones; the solver uses
-saddle_residual only to accept an industrial root.
+(Omega, kappa, chi)) and accepted on the residual hybr evaluated there.
+A solve that establishes neither label raises NoConvergenceError; sweeps
+use warm-started continuation and record such points as "failed".
+_regular alone forms the equations: saddle_residual is it divided through
+into the original variables, rescaled_residual its chi = 0 rows.
 """
 from __future__ import annotations
 
@@ -53,14 +53,14 @@ from scipy import optimize
 from . import critical
 from .ensemble import EnsembleParams
 from .errors import DomainError, NoConvergenceError, NoRootError
-from .gaussian import gauss_hermite_rule, half_moments, truncated_scale_moments
+from .gaussian import gauss_hermite_rule, half_moments
 
 #: the quadrature rule of every final-good average over t, read at call
 #: time (tests swap it to check the resolution)
 _RULE = gauss_hermite_rule(120)
 #: the residual evaluations each root solve may spend
 _BUDGET = 150
-#: the saddle_residual norm at or below which a root is accepted
+#: the residual norm (as in saddle_residual) at or below which a root is accepted
 _TOL = 1e-10
 
 
@@ -107,7 +107,7 @@ def final_good_field(kappa: float, n_omega: float, chi: float):
 
 
 def _moments(omega, kappa, chi, scale, n, pi, f, eps):
-    """(M1, Mt, M2, phi, <s*>, <s* t>, <s*^2>) at one point, in one pass.
+    """(M1, Mt, M2, phi, <s*>, <s*^2>) at one point, in one pass.
 
     scale is (p, sigma, chi_hat), or (ell, gamma, delta) in regular
     coordinates.  One half_moments call takes all three shifts: the clamp
@@ -135,57 +135,13 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
         final = np.array([g @ wt, g @ (wt * t), (g * g) @ wt]) @ weights
         m = [f * x + (1.0 - f) * y for x, y in zip(final.tolist(), m)]
     r = sigma / chi_hat
-    return (*m, i0[2], r * i1[2], r * i0[2], r * r * i2[2])
-
-
-def saddle_residual(op: OrderParams, params: EnsembleParams) -> np.ndarray:
-    """Residuals of the six saddle-point equations (zero at a solution)."""
-    if min(op.sigma, op.chi_hat, op.chi, op.Omega) <= 0:
-        raise DomainError("saddle_residual requires Omega, sigma, chi, chi_hat > 0")
-    m1, mt, m2, phi, s1, st, s2 = _moments(
-        op.Omega, op.kappa, op.chi, (op.p, op.sigma, op.chi_hat),
-        params.n, params.pi, params.f, params.eps)
-    rad = m2 / op.chi**2 - op.p**2
-    if rad < 0:
-        raise DomainError("sigma-equation radicand is negative")
-    return np.array([
-        op.p - m1 / op.chi,
-        op.chi_hat - mt / (op.chi * np.sqrt(params.n * op.Omega)),
-        op.sigma - np.sqrt(rad),
-        op.Omega - s2,
-        op.kappa - op.p * op.chi - params.n * params.eps * s1,
-        op.chi - params.n * st / op.sigma,
-    ])
-
-
-def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
-    """Residuals of the five chi = 0 equations (f drops out entirely).
-
-    u = (Omega, kappa, ell, gamma, delta) with ell = p chi, gamma = sigma chi
-    and delta = chi_hat chi, which stay finite as chi -> 0 while p, sigma
-    and chi_hat diverge.
-    """
-    omega, kappa, ell, gamma, delta = np.asarray(u, dtype=float)
-    if min(gamma, delta, omega) <= 0:
-        raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
-    m1, mt, m2, phi, s1, st, s2 = _moments(
-        omega, kappa, 0.0, (ell, gamma, delta), params.n, params.pi, params.f, params.eps)
-    rad = m2 - ell**2
-    if rad < 0:
-        raise DomainError("gamma-equation radicand is negative")
-    return np.array([
-        ell - m1,
-        delta - mt / np.sqrt(params.n * omega),
-        gamma - np.sqrt(rad),
-        omega - s2,
-        kappa - ell - params.n * params.eps * s1,
-    ])
+    return (*m, i0[2], r * i1[2], r * r * i2[2])
 
 
 def _regular(u, n, pi, f, eps):
     omega, kappa, ell, gamma, delta, chi = u.tolist()
-    m1, mt, m2, phi, s1, _, s2 = _moments(omega, kappa, chi, (ell, gamma, delta),
-                                          n, pi, f, eps)
+    m1, mt, m2, phi, s1, s2 = _moments(omega, kappa, chi, (ell, gamma, delta),
+                                       n, pi, f, eps)
     return np.array([
         ell - m1,
         delta - mt / np.sqrt(n * omega),
@@ -206,14 +162,47 @@ def regular_residual(u, params: EnsembleParams) -> np.ndarray:
         Omega = <s*^2>,  kappa = ell + n eps <s*>,  delta = n phi,
 
     and chi enters only through the final-good term of the M averages.
-    For chi > 0 they are saddle_residual multiplied through by chi (by
-    chi_hat in the last); at chi = 0 the first five are rescaled_residual.
-    A negative radicand in the gamma equation is cut at zero.
+    Divided through by (chi, chi, chi, 1, 1, chi_hat) they are
+    saddle_residual; at chi = 0 the first five are rescaled_residual.  A
+    negative radicand in the gamma equation is cut at zero.
     """
     u = np.asarray(u, dtype=float)
     if min(u[0], u[3], u[4]) <= 0:
         raise DomainError("regular_residual requires Omega, gamma, delta > 0")
     return _regular(u, params.n, params.pi, params.f, params.eps)
+
+
+def _regular_coords(op: OrderParams) -> np.ndarray:
+    return np.array([op.Omega, op.kappa, op.p * op.chi, op.sigma * op.chi,
+                     op.chi_hat * op.chi, op.chi])
+
+
+def _original(r, chi, chi_hat):
+    """A regular residual r divided through into the original equations."""
+    return r / np.array([chi, chi, chi, 1.0, 1.0, chi_hat])
+
+
+def saddle_residual(op: OrderParams, params: EnsembleParams) -> np.ndarray:
+    """Residuals of the six saddle-point equations in (p, sigma, chi_hat):
+    regular_residual at (Omega, kappa, p chi, sigma chi, chi_hat chi, chi)
+    divided by (chi, chi, chi, 1, 1, chi_hat); zero at a solution."""
+    if min(op.sigma, op.chi_hat, op.chi, op.Omega) <= 0:
+        raise DomainError("saddle_residual requires Omega, sigma, chi, chi_hat > 0")
+    return _original(_regular(_regular_coords(op), params.n, params.pi,
+                              params.f, params.eps), op.chi, op.chi_hat)
+
+
+def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
+    """Residuals of the five chi = 0 equations (f drops out entirely).
+
+    u = (Omega, kappa, ell, gamma, delta) with ell = p chi, gamma = sigma chi
+    and delta = chi_hat chi, which stay finite as chi -> 0 while p, sigma
+    and chi_hat diverge: the first five rows of regular_residual at chi = 0.
+    """
+    u = np.append(np.asarray(u, dtype=float), 0.0)
+    if min(u[0], u[3], u[4]) <= 0:
+        raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
+    return _regular(u, params.n, params.pi, params.f, params.eps)[:5]
 
 
 # -- solver -------------------------------------------------------------------
@@ -243,11 +232,6 @@ _MAX_STEPS = 60
 #: a continuation along a line gives up once its step falls below this
 #: fraction of the line (a line to a collapsed point crosses pi_c)
 _MIN_STEP = 1e-3
-
-
-def _regular_coords(op: OrderParams) -> np.ndarray:
-    return np.array([op.Omega, op.kappa, op.p * op.chi, op.sigma * op.chi,
-                     op.chi_hat * op.chi, op.chi])
 
 
 class _Search:
@@ -280,32 +264,29 @@ class _Search:
     def residual(self, z, n, pi):
         p = self.params
         self.evals += 1
-        with np.errstate(all="ignore"):
-            r = _regular(self.to_u(z), n, pi, p.f, p.eps)
+        r = _regular(self.to_u(z), n, pi, p.f, p.eps)
         return r if all(map(math.isfinite, r.tolist())) else np.full(6, 1e10)
 
     def _root(self, fun, x0):
-        sol = optimize.root(fun, x0, method="hybr",
-                            options={"xtol": 1e-12, "maxfev": _BUDGET})
-        return sol.x
+        """(x, fun(x)): hybr's last point and the residual it evaluated there."""
+        with np.errstate(all="ignore"):
+            sol = optimize.root(fun, x0, method="hybr",
+                                options={"xtol": 1e-12, "maxfev": _BUDGET})
+        return sol.x, sol.fun
 
     def industrial(self, z0, n, pi):
-        """(z, op, norm) for a root with chi > 0, <s*> > 0 and
-        saddle_residual norm <= _TOL at (n, pi), or None."""
-        z = self._root(lambda z: self.residual(z, n, pi), z0)
-        omega, kappa, ell, gamma, delta, chi = (float(v) for v in self.to_u(z))
+        """(z, op, norm) for a root with chi > 0, <s*> > 0 and the norm of
+        hybr's residual there, as in saddle_residual, <= _TOL; or None."""
+        z, r = self._root(lambda z: self.residual(z, n, pi), z0)
+        omega, kappa, ell, gamma, delta, chi = self.to_u(z).tolist()
         if not chi > 0:
             return None
-        op = OrderParams(omega, kappa, ell / chi, gamma / chi, chi, delta / chi)
-        try:
-            norm = float(np.linalg.norm(
-                saddle_residual(op, self.params.with_(n=n, pi=pi))))
-        except DomainError:
+        chi_hat = delta / chi
+        norm = float(np.linalg.norm(_original(r, chi, chi_hat)))
+        # <s*> = I1(-p eps/sigma) sigma/chi_hat, and sigma/chi_hat > 0
+        if not (norm <= _TOL and half_moments(-ell * self.params.eps / gamma)[1] > 0):
             return None
-        _, s1, _, _ = truncated_scale_moments(op.p, op.sigma, op.chi_hat, self.params.eps)
-        if not (norm <= _TOL and s1 > 0):
-            return None
-        return z, op, norm
+        return z, OrderParams(omega, kappa, ell / chi, gamma / chi, chi, chi_hat), norm
 
     def bordered(self, z0, pi0, chi):
         """(z, pi) for the branch point at fixed chi, pi the unknown, or None.
@@ -320,9 +301,9 @@ class _Search:
         def fun(w):
             return self.residual(np.append(w[:5], zchi), n, w[5])
 
-        w = self._root(fun, np.append(z0[:5], pi0))
+        w, r = self._root(fun, np.append(z0[:5], pi0))
         accept = _TOL if chi > 0 else np.sqrt(_TOL)
-        if not np.linalg.norm(fun(w)) <= accept:
+        if not np.linalg.norm(r) <= accept:
             return None
         return np.append(w[:5], zchi), float(w[5])
 
@@ -380,7 +361,8 @@ def solve_saddle(params: EnsembleParams,
 
     The regular system (see regular_residual) is solved from ``init``,
     then from the two cold starts.  A root with chi > 0, <s*> > 0 and
-    saddle_residual norm <= _TOL (1e-10) is labelled "industrial".
+    residual_norm <= _TOL (1e-10) is labelled "industrial": the norm, as in
+    saddle_residual, of the residual hybr evaluated at the root.
     Failing that, the analytic boundary pi_c(n, eps)
     (critical.solve_critical_pi) decides: pi <= pi_c is "collapsed", with
     no order parameters (op None) and residual 0; above it the root at
@@ -414,7 +396,7 @@ def solve_saddle(params: EnsembleParams,
             break
     raise NoConvergenceError(
         f"no root at {params} after {search.evals} residual evaluations"
-        + ("" if pi_c is None else f" (pi_c = {pi_c:.6g})"))
+        + ("" if pi_c is None else f" (pi_c = {pi_c:.6g})"), search.evals)
 
 
 def branch_switch_pi(n: float, eps: float, f: float = 0.5,
@@ -443,17 +425,16 @@ def sweep(params_grid: Sequence[EnsembleParams]):
     """Warm-started continuation along an ordered parameter grid.
 
     One entry per grid point, in order; points whose solve raises
-    NoConvergenceError are recorded as SaddleSolution with branch "failed"
-    and infinite residual rather than skipped.
+    NoConvergenceError are recorded, not skipped, as SaddleSolution with
+    branch "failed", infinite residual and the evaluations spent.
     """
     out = []
     warm = None
     for params in params_grid:
         try:
             sol = solve_saddle(params, init=warm)
-        except NoConvergenceError:
-            out.append(SaddleSolution(params=params, branch="failed", op=None,
-                                      residual_norm=np.inf, iterations=0))
+        except NoConvergenceError as exc:
+            out.append(_solution(params, "failed", None, np.inf, exc.evaluations))
             warm = None
             continue
         out.append(sol)

@@ -94,6 +94,17 @@ class TestSaddle:
         assert row[4] == "failed"
         assert row[-4:] == ["nan"] * 4
 
+    def test_failed_row_reports_its_evaluations(self, monkeypatch, capsys):
+        # the failed row's iters are the residual evaluations its solve spent
+        monkeypatch.setattr(replica, "_BUDGET", 5)
+        calls, inner = [], replica._regular
+        monkeypatch.setattr(replica, "_regular",
+                            lambda *a: calls.append(1) or inner(*a))
+        assert main(["saddle", "--n", "2", "--pi", "0.65"]) == 1
+        row = data_rows(capsys.readouterr().out)[1].split(",")
+        assert row[4] == "failed"
+        assert int(row[SOLUTION_COLUMNS.index("iters")]) == len(calls) > 0
+
     def test_byte_identical_reruns(self):
         args = ("saddle", "--n", "1", "--pi", "0.6", "--f", "0.5",
                 "--eps", "0.1")
@@ -160,6 +171,57 @@ class TestSweep:
         assert row[4] == "failed"
         assert all(np.isnan(v) for v in row[5:11])
         assert row[13:] == ["nan", "nan"]
+
+
+def settings_read(capsys, argv):
+    """The ``arg.*`` metadata keys of an in-process run, and its data rows."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    keys = {line[2:].split(" = ")[0][4:] for line in out.splitlines()
+            if line.startswith("# arg.")}
+    return keys, data_rows(out)
+
+
+class TestSettingsRead:
+    """The metadata records the settings a run read, and no others."""
+
+    def test_sweep_drops_its_variable(self, capsys):
+        keys, _ = settings_read(capsys, ["sweep", "--var", "n", "--from", "2",
+                                         "--to", "2.1", "--points", "2"])
+        assert {"pi", "f", "eps", "var", "start", "stop", "points"} <= keys
+        assert "n" not in keys
+        keys, _ = settings_read(capsys, ["sweep", "--var", "pi", "--from", "0.6"])
+        assert {"n", "f", "eps"} <= keys and "pi" not in keys
+
+    def test_intermediate_sweep_drops_n_pi_f(self, capsys):
+        keys, _ = settings_read(capsys, [
+            "sweep", "--var", "i", "--from", "0.1", "--to", "0.3", "--points",
+            "2", "--f-over-n", "0.3", "--pi-over-n", "0.4"])
+        assert {"pi_over_n", "f_over_n", "eps", "var"} <= keys
+        assert not keys & {"n", "pi", "f"}
+
+    @pytest.mark.parametrize("command, extra", (
+        ("lp-fraction", ["--C", "20", "--trials", "3"]),
+        ("pca-probe", ["--C", "20", "--tech-draws", "2",
+                       "--objective-draws", "3"]),
+    ))
+    def test_pi_grid_drops_pi(self, capsys, command, extra):
+        base = [command, "--n", "1", "--seed", "0", *extra]
+        keys, single = settings_read(capsys, base + ["--pi", "0.5"])
+        assert "pi" in keys
+        keys, grid = settings_read(capsys, base + ["--pi", "0.5", "--from",
+                                                   "0.5", "--to", "0.6",
+                                                   "--points", "2"])
+        assert "pi" not in keys and {"start", "stop", "points"} <= keys
+        # the grid's first point is the single run's point, byte for byte
+        assert grid[:2] == single
+
+    @pytest.mark.parametrize("var", ("n", "pi", "f", "eps"))
+    @pytest.mark.parametrize("flag", ("--pi-over-n", "--f-over-n"))
+    def test_ratios_only_with_var_i(self, capsys, var, flag):
+        assert main(["sweep", "--var", var, "--from", "0.5", flag, "0.4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and f"--var {var}" in err
 
 
 class TestCriticalLine:

@@ -19,6 +19,8 @@ from randecon.errors import DomainError, NoConvergenceError
 from randecon.finite import (ACTIVE_THRESHOLD, certify_equilibrium,
                              lp_feasibility_fraction, monte_carlo_observables,
                              pca_probe, solve_equilibrium, _top_eigenvalue)
+from randecon.observables import observable_set
+from randecon.replica import solve_saddle
 
 PARAMS = EnsembleParams(n=3.0, pi=0.65, f=0.5, eps=0.1)
 
@@ -457,6 +459,27 @@ class TestMonteCarlo:
         params = EnsembleParams(n=1.0, pi=0.05, f=0.5, eps=0.1)
         out = monte_carlo_observables(params, C=30, instances=3, base_seed=9)
         assert out.utility == float("-inf")
+
+
+class TestFiniteSizeExtrapolation:
+    """The two legs agree at N -> infinity to the Monte Carlo's resolution."""
+
+    def test_phi_extrapolates_to_the_saddle_point(self):
+        # phi(N) = a + b/N, fitted by weighted least squares over N = n C in
+        # {50, 100, 200, 400}; fewer instances at larger N keep it to ~10 s
+        params = EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)
+        plan = ((25, 400), (50, 400), (100, 200), (200, 100))
+        runs = [monte_carlo_observables(params, C, instances, 90000)
+                for C, instances in plan]
+        assert all(mc.failures == 0 for mc in runs)
+        design = np.array([[1.0, 1.0 / (params.n * C)] for C, _ in plan])
+        weights = np.array([mc.phi_stderr ** -2 for mc in runs])
+        cov = np.linalg.inv(design.T @ (weights[:, None] * design))
+        a, _ = cov @ design.T @ (weights * np.array([mc.phi for mc in runs]))
+        analytic = observable_set(solve_saddle(params)).phi
+        assert analytic == pytest.approx(0.41737, abs=1e-5)
+        # the intercept's standard error combines those of the four sizes
+        assert abs(a - analytic) <= 3.0 * np.sqrt(cov[0, 0])
 
 
 @functools.cache

@@ -343,6 +343,13 @@ class TestBudget:
         assert sol.branch == "industrial"
         assert sol.iterations == len(calls) > 150
 
+    def test_failed_sweep_point_reports_its_evaluations(self, monkeypatch):
+        monkeypatch.setattr(replica, "_BUDGET", 5)
+        calls = self.count_regular(monkeypatch)
+        sol = sweep([EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)])[0]
+        assert sol.branch == "failed"
+        assert sol.iterations == len(calls) > 0
+
     def test_collapsed_iterations_are_the_search_evaluations(self, monkeypatch):
         calls = self.count_regular(monkeypatch)
         sol = solve_saddle(EnsembleParams(n=1.0, pi=0.2, f=0.5, eps=0.1))
