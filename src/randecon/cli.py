@@ -227,7 +227,8 @@ def _cmd_lp_fraction(args):
     failures = sum(r.failures for r in recs)
     # LPs solved over the grid; the rest were settled by the remembered
     # cone thresholds, so the count varies with the threads' interleaving
-    meta = dict(_meta(args, "lp-fraction", unread), lps=sum(r.lps for r in recs))
+    meta = dict(_meta(args, "lp-fraction", unread),
+                lps=sum(r.lps for r in recs), lp_failures=failures)
     _emit(args.output, meta, cols, rows, args.format)
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
@@ -241,9 +242,11 @@ def _cmd_pca_probe(args):
             "lambda_max_over_N", "collapsed")
     rows = [(r.n, r.pi, r.eps, r.N, r.C, r.samples, r.lambda_max,
              r.lambda_max_over_N, r.collapsed) for r in recs]
-    failures = sum(1 for r in recs if r.collapsed)
-    _emit(args.output, _meta(args, "pca-probe", unread), cols, rows, args.format)
-    return _EXIT_PARTIAL if failures else _EXIT_OK
+    lp_failures = sum(r.lp_failures for r in recs)
+    meta = dict(_meta(args, "pca-probe", unread), lp_failures=lp_failures)
+    _emit(args.output, meta, cols, rows, args.format)
+    failed = lp_failures or any(r.collapsed for r in recs)
+    return _EXIT_PARTIAL if failed else _EXIT_OK
 
 
 def _cmd_validate(args):

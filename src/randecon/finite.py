@@ -30,13 +30,21 @@ Three numerical experiments on sampled economies:
 * ``pca_probe``: samples vertices of the full feasible polytope by
   maximizing random linear objectives, and measures the elongation of
   the sampled cloud by the top eigenvalue of its correlation matrix.
+  The LPs of one technology draw share their matrix, so each starts from
+  the optimal basis of the one before.
 
 Every LP, the phase-one LP of ``solve_equilibrium`` included, goes
 through this module's ``linprog``, a thin wrapper over the HiGHS binding
 that scipy ships: the dense constraint matrix goes to HiGHS column by
-column, and its dual simplex solves the LP with presolve off, on a fresh
-solver object per call, so concurrent calls share no solver state.  An
-optimum counts only when it also passes the bound and row check of
+column, and its dual simplex solves the LP with presolve and scaling off,
+on a fresh solver object per call, so concurrent calls share no solver
+state.  Scaling is off because every matrix here is at unit scale
+already (the entries of q are N(0, 1/C), the other rows and columns
+0/1), and equilibrating it only costs simplex iterations.  A call may
+start from the optimal basis of an earlier LP over a matrix of the same
+shape: restarting a dual simplex from a nearby optimal basis is the
+standard way to re-solve LPs that share a constraint matrix.  An optimum
+counts only when it also passes the bound and row check of
 ``scipy.optimize.linprog``, whose Python layer (option validation, a
 sparse copy of the matrix, a loop over the basis) would cost about a
 third of each LP.
@@ -99,12 +107,14 @@ def _lp_options() -> _highs.HighsOptions:
     opts.simplex_strategy = int(
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     opts.presolve = "off"
+    # no scaling: the matrices are at unit scale already (module docstring)
+    opts.simplex_scale_strategy = 0
     opts.output_flag = False
     return opts
 
 
-#: HiGHS settings of every LP: dual simplex, no presolve, no output; only
-#: read, never written, so concurrent calls can share them
+#: HiGHS settings of every LP: dual simplex, no presolve, no scaling, no
+#: output; only read, never written, so concurrent calls can share them
 _LP_OPTIONS = _lp_options()
 #: HiGHS's optimum must also satisfy the bounds and rows to this, as
 #: scipy.optimize.linprog checks (10 sqrt(tol) at its tol = 1e-9)
@@ -119,25 +129,33 @@ _LP_STATUS = {_highs.HighsModelStatus.kOptimal: 0,
 
 
 def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-            lower, upper) -> OptimizeResult:
+            lower, upper, basis=None) -> OptimizeResult:
     """Minimize c x subject to a_ub x <= b_ub and lower <= x <= upper.
 
     The dense (m, n) ``a_ub`` goes to HiGHS column by column, with every
     entry stored, and HiGHS's dual simplex (Huangfu & Hall, *Math. Prog.
-    Comp.* 2018) solves it with presolve off, on a fresh solver object
-    per call.  ``lower`` and ``upper`` are scalars or length-n arrays;
-    m may be 0.  Returns ``x``, ``fun``, ``status`` and ``message`` with
-    ``scipy.optimize.linprog``'s status codes.  ``status`` is 0 only when
-    HiGHS reports an optimum and ``x`` is finite and within the bounds and
-    rows to 10 sqrt(1e-9), the check ``linprog`` makes, so a NaN in the
-    data gives a nonzero status, never 0.  ``x`` and ``fun`` are None
-    when HiGHS reports no optimum.
+    Comp.* 2018) solves it with presolve and scaling off, on a fresh
+    solver object per call.  ``lower`` and ``upper`` are scalars or
+    length-n arrays; m may be 0.  ``basis``, the ``basis`` of an earlier
+    optimal result over a matrix of the same shape, starts the simplex
+    there instead of at the slack basis; a dual simplex restarted from the
+    optimal basis of a nearby LP over the same matrix needs far fewer
+    iterations.  Returns ``x``, ``fun``, ``status``, ``message`` and
+    ``basis`` with ``scipy.optimize.linprog``'s status codes.  ``status``
+    is 0 only when HiGHS reports an optimum and ``x`` is finite and within
+    the bounds and rows to 10 sqrt(1e-9), the check ``linprog`` makes, so
+    a NaN in the data gives a nonzero status, never 0.  ``x`` and ``fun``
+    are None when HiGHS reports no optimum, and ``basis`` is None unless
+    ``status`` is 0.
     """
     m, n = a_ub.shape
     # HiGHS reads n costs and bounds and m row bounds from the pointers
     if np.shape(c) != (n,) or np.shape(b_ub) != (m,):
         raise DomainError(f"linprog needs c of length {n} and b_ub of "
                           f"length {m} for a_ub of shape {a_ub.shape}")
+    if basis is not None and (len(basis.col_status), len(basis.row_status)) != (n, m):
+        raise DomainError(f"linprog needs a basis of {n} columns and {m} "
+                          f"rows for a_ub of shape {a_ub.shape}")
     lower, upper = np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
     solver = _highs._Highs()
     solver.passOptions(_LP_OPTIONS)
@@ -153,14 +171,17 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
                   np.zeros(n, dtype=np.int32))      # every column continuous
               != _highs.HighsStatus.kError)
     if not loaded:
-        return OptimizeResult(x=None, fun=None, status=4,
+        return OptimizeResult(x=None, fun=None, status=4, basis=None,
                               message="non-finite data, or a model HiGHS "
                                       "rejects")
+    if (basis is not None
+            and solver.setBasis(basis) == _highs.HighsStatus.kError):
+        raise DomainError("HiGHS rejects the basis as inconsistent")
     solver.run()
     model_status = solver.getModelStatus()
     message = solver.modelStatusToString(model_status)
     if model_status != _highs.HighsModelStatus.kOptimal:
-        return OptimizeResult(x=None, fun=None, message=message,
+        return OptimizeResult(x=None, fun=None, message=message, basis=None,
                               status=_LP_STATUS.get(model_status, 4))
     x = np.array(solver.getSolution().col_value)
     fun = solver.getInfo().objective_function_value
@@ -170,6 +191,7 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     if not valid:
         message = "HiGHS's optimum fails the bound and row check"
     return OptimizeResult(x=x, fun=fun, status=0 if valid else 4,
+                          basis=solver.getBasis() if valid else None,
                           message=message)
 
 
@@ -601,6 +623,7 @@ class GeometryRecord:
     N: int
     C: int
     samples: int              # vertices in the clouds lambda_max averages over
+    lp_failures: int          # LPs with a nonzero status, so no vertex
     lambda_max: float
     collapsed: bool
 
@@ -630,14 +653,18 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     included, total scale capped by primary-count/eps), form the
     coordinate correlation matrix of the resulting vertex cloud, and
     take its top eigenvalue with a dense symmetric eigensolver; the reported
-    lambda_max averages over technology draws.  Zero-variance
-    coordinates enter as uncorrelated unit-diagonal rows.  A draw whose
-    vertices are all at the origin is degenerate; if every draw is
-    degenerate the probe reports NaN with the collapsed flag set.
+    lambda_max averages over technology draws.  The LPs of one technology
+    draw share q and differ only in x0, the objective and the cap, so each
+    starts from the optimal basis of the draw's last optimal LP.
+    Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
+    An LP with a nonzero status adds no vertex and counts in
+    ``lp_failures``.  A draw whose vertices are all at the origin is
+    degenerate; if every draw is degenerate the probe reports NaN with the
+    collapsed flag set.
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
         raise DomainError("need at least two draws of each kind")
-    lams, samples = [], 0
+    lams, samples, lp_failures = [], 0, 0
     for tech in range(n_tech_draws):
         seed = base_seed + 1000 * tech
         econ = sample_economy(params, C, seed)
@@ -645,15 +672,19 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
         rng = np.random.default_rng(seed + 500)
         # availability of every good, then the cap on total scale
         a_ub = np.vstack([-econ.q.T, np.ones((1, econ.N))])
-        vertices = []
+        vertices, basis = [], None
         for _ in range(n_objective_draws):
             x0 = (rng.random(C) < params.pi).astype(float)
             obj = np.abs(rng.standard_normal(econ.N))
             obj /= np.linalg.norm(obj)
             cap = max(float(x0.sum()), 1.0) / params.eps
-            res = linprog(-obj, a_ub, np.concatenate([x0, [cap]]), 0.0, np.inf)
+            res = linprog(-obj, a_ub, np.concatenate([x0, [cap]]), 0.0, np.inf,
+                          basis)
             if res.status == 0:
                 vertices.append(res.x)
+                basis = res.basis
+            else:
+                lp_failures += 1
         verts = np.array(vertices)
         if len(verts) < 2 or np.all(np.abs(verts) < 1e-12):
             continue
@@ -661,8 +692,8 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
         samples += len(verts)
     if not lams:
         return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps,
-                              N=N, C=C, samples=0, lambda_max=float("nan"),
-                              collapsed=True)
+                              N=N, C=C, samples=0, lp_failures=lp_failures,
+                              lambda_max=float("nan"), collapsed=True)
     return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps, N=N, C=C,
-                          samples=samples,
+                          samples=samples, lp_failures=lp_failures,
                           lambda_max=float(np.mean(lams)), collapsed=False)

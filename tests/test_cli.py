@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from randecon import replica
+from randecon import finite, replica
 from randecon.cli import (SOLUTION_COLUMNS, _fmt_cell, _solution_rows,
                           build_parser, main, parse_args)
 from randecon.ensemble import EnsembleParams
@@ -271,6 +271,39 @@ class TestFiniteCommands:
                        "--objective-draws", "4", "--seed", "0")
         rows = data_rows(proc.stdout)
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("command, extra", (
+        ("lp-fraction", ["--trials", "4"]),
+        ("pca-probe", ["--tech-draws", "2", "--objective-draws", "4"]),
+    ))
+    def test_healthy_run_has_no_lp_failures(self, command, extra):
+        # run_cli checks exit 0; a nonzero count would exit 1 (partial)
+        proc = run_cli(command, "--n", "1", "--eps", "0.1", "--C", "25",
+                       "--seed", "0", "--from", "0.3", "--to", "0.6",
+                       "--points", "2", *extra)
+        lines = [line for line in proc.stdout.splitlines()
+                 if line.startswith("# lp_failures")]
+        assert lines == ["# lp_failures = 0"]
+
+    def test_pca_probe_lp_failure_is_partial(self, monkeypatch, capsys):
+        # one failed LP of 8 leaves a record that is not collapsed, but the
+        # run reports it and exits 1
+        calls, original = [], finite.linprog
+
+        def second_fails(*args):
+            calls.append(1)
+            res = original(*args)
+            if len(calls) == 2:
+                res.status, res.basis = 4, None
+            return res
+
+        monkeypatch.setattr(finite, "linprog", second_fails)
+        assert main(["pca-probe", "--n", "1", "--pi", "0.6", "--eps", "0.1",
+                     "--C", "25", "--tech-draws", "2", "--objective-draws",
+                     "4", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "# lp_failures = 1" in out.splitlines()
+        assert data_rows(out)[1].split(",")[5] == "7"      # samples
 
 
 class TestValidate:

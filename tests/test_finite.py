@@ -276,8 +276,11 @@ class TestLinprog:
     @settings(max_examples=30, deadline=None)
     @given(C=st.integers(10, 40), n=st.floats(0.5, 3.0),
            pi=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
-           eps=st.sampled_from((0.1, 0.01)), seed=st.integers(0, 2**31 - 1))
+           eps=st.sampled_from((0.1, 0.01, 0.001)),
+           seed=st.integers(0, 2**31 - 1))
     def test_matches_scipy(self, C, n, pi, eps, seed):
+        # scipy's highs-ds scales the model and finite.linprog does not:
+        # the statuses, optima and decisions must agree at every eps
         econ = sample_economy(EnsembleParams(n=n, pi=pi, f=0.5, eps=eps),
                               C=C, seed=seed)
         for shape, lp in lp_shapes(econ, np.random.default_rng(seed)).items():
@@ -301,13 +304,48 @@ class TestLinprog:
         lp = (np.ones(2), np.array([[1.0, 1.0]]), np.array([-1.0]), 0.0, 1.0)
         got, want = finite.linprog(*lp), scipy_lp(*lp)
         assert got.status == want.status == 2
-        assert got.x is None
+        assert got.x is None and got.basis is None
 
     @pytest.mark.parametrize("c, b_ub", [(np.ones(3), np.ones(2)),
                                          (np.ones(2), np.ones(1))])
     def test_shape_mismatch_raises(self, c, b_ub):
         with pytest.raises(DomainError):
             finite.linprog(c, np.ones((2, 2)), b_ub, 0.0, 1.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(C=st.integers(10, 60), n=st.floats(0.5, 3.0),
+           pi=st.floats(0.05, 1.0), eps=st.sampled_from((0.1, 0.01, 0.001)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_warm_start_matches_cold(self, C, n, pi, eps, seed):
+        # the optimal basis of one objective and right-hand side starts
+        # another LP over the same matrix; the optimum does not move
+        econ = sample_economy(EnsembleParams(n=n, pi=pi, f=0.5, eps=eps),
+                              C=C, seed=seed)
+        rng = np.random.default_rng(seed)
+        for shape, (c, a_ub, b_ub, lower, upper) in lp_shapes(econ, rng).items():
+            first = finite.linprog(c, a_ub, b_ub, lower, upper)
+            assert first.status == 0 and first.basis is not None, shape
+            c2 = c * rng.random(c.shape)
+            b2 = b_ub + rng.random(b_ub.shape)
+            cold = finite.linprog(c2, a_ub, b2, lower, upper)
+            warm = finite.linprog(c2, a_ub, b2, lower, upper, first.basis)
+            assert warm.status == cold.status, shape
+            assert warm.fun == pytest.approx(cold.fun, rel=1e-9, abs=1e-12)
+
+    def test_unusable_basis_raises(self):
+        econ = sample_economy(PARAMS, C=20, seed=5)
+        c, a_ub, b_ub, lower, upper = lp_shapes(
+            econ, np.random.default_rng(5))["pca"]
+        basis = finite.linprog(c, a_ub, b_ub, lower, upper).basis
+        with pytest.raises(DomainError):       # one column too many
+            finite.linprog(np.r_[c, 1.0], np.hstack([a_ub, a_ub[:, :1]]),
+                           b_ub, lower, upper, basis)
+        with pytest.raises(DomainError):       # one row too many
+            finite.linprog(c, np.vstack([a_ub, a_ub[:1]]), np.r_[b_ub, 1.0],
+                           lower, upper, basis)
+        basis.row_status = [finite._highs.HighsBasisStatus.kBasic] * len(b_ub)
+        with pytest.raises(DomainError):       # more basic than rows
+            finite.linprog(c, a_ub, b_ub, lower, upper, basis)
 
     @pytest.mark.parametrize("where", ["c", "a_ub", "b_ub", "lower", "upper"])
     def test_nan_is_not_optimal(self, where):
@@ -461,25 +499,50 @@ class TestMonteCarlo:
         assert out.utility == float("-inf")
 
 
+def extrapolate(params, plan, observables):
+    """Intercepts a of o(N) = a + b/N, fitted by weighted least squares over
+    the sizes N = n C of ``plan`` ((C, instances) pairs, base seed 90000),
+    with their standard errors, for each (mean, stderr) field name pair of
+    ``MonteCarloSummary`` in ``observables``."""
+    runs = [monte_carlo_observables(params, C, instances, 90000)
+            for C, instances in plan]
+    assert all(mc.failures == 0 for mc in runs)
+    design = np.array([[1.0, 1.0 / (params.n * C)] for C, _ in plan])
+    fits = []
+    for mean, stderr in observables:
+        weights = np.array([getattr(mc, stderr) ** -2 for mc in runs])
+        cov = np.linalg.inv(design.T @ (weights[:, None] * design))
+        a, _ = cov @ design.T @ (weights * np.array([getattr(mc, mean)
+                                                     for mc in runs]))
+        # the intercept's standard error combines those of the four sizes
+        fits.append((a, np.sqrt(cov[0, 0])))
+    return fits
+
+
 class TestFiniteSizeExtrapolation:
     """The two legs agree at N -> infinity to the Monte Carlo's resolution."""
 
     def test_phi_extrapolates_to_the_saddle_point(self):
-        # phi(N) = a + b/N, fitted by weighted least squares over N = n C in
-        # {50, 100, 200, 400}; fewer instances at larger N keep it to ~10 s
+        # phi(N) = a + b/N over N = n C in {50, 100, 200, 400}; fewer
+        # instances at larger N keep it to ~10 s
         params = EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)
         plan = ((25, 400), (50, 400), (100, 200), (200, 100))
-        runs = [monte_carlo_observables(params, C, instances, 90000)
-                for C, instances in plan]
-        assert all(mc.failures == 0 for mc in runs)
-        design = np.array([[1.0, 1.0 / (params.n * C)] for C, _ in plan])
-        weights = np.array([mc.phi_stderr ** -2 for mc in runs])
-        cov = np.linalg.inv(design.T @ (weights[:, None] * design))
-        a, _ = cov @ design.T @ (weights * np.array([mc.phi for mc in runs]))
+        [(a, se)] = extrapolate(params, plan, [("phi", "phi_stderr")])
         analytic = observable_set(solve_saddle(params)).phi
         assert analytic == pytest.approx(0.41737, abs=1e-5)
-        # the intercept's standard error combines those of the four sizes
-        assert abs(a - analytic) <= 3.0 * np.sqrt(cov[0, 0])
+        assert abs(a - analytic) <= 3.0 * se
+
+    def test_phi_and_scale_extrapolate_at_n_1(self):
+        # the same sizes N at n = 1, about 12 s; phi and <s*> both
+        params = EnsembleParams(n=1.0, pi=0.65, f=0.5, eps=0.1)
+        plan = ((50, 400), (100, 400), (200, 200), (400, 100))
+        fits = extrapolate(params, plan, [("phi", "phi_stderr"),
+                                          ("s_mean", "s_stderr")])
+        obs = observable_set(solve_saddle(params))
+        assert (obs.phi, obs.s_mean) == pytest.approx((0.45964, 0.38769),
+                                                      abs=1e-5)
+        for (a, se), analytic in zip(fits, (obs.phi, obs.s_mean)):
+            assert abs(a - analytic) <= 3.0 * se
 
 
 @functools.cache
@@ -670,6 +733,46 @@ class TestPcaProbe:
         rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
                         base_seed=0)
         assert rec.samples == 2 * 6 - 1
+
+    def test_warm_start_keeps_the_vertices(self, monkeypatch):
+        # every LP but each technology draw's first starts from a basis;
+        # dropping the bases gives the same clouds
+        params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
+        started, original = [], finite.linprog
+
+        def recording(*args):
+            started.append(args[5] is not None)
+            return original(*args)
+
+        monkeypatch.setattr(finite, "linprog", recording)
+        warm = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                         base_seed=0)
+        assert started == 2 * ([False] + 5 * [True])
+        monkeypatch.setattr(finite, "linprog",
+                            lambda *args: original(*args[:5], None))
+        cold = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                         base_seed=0)
+        assert warm.samples == cold.samples == 2 * 6
+        assert warm.lambda_max == pytest.approx(cold.lambda_max, rel=1e-9)
+
+    def test_lp_failures_are_counted(self, monkeypatch):
+        # every third LP fails: 4 of 12, each costing its draw a vertex
+        params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
+        calls, original = [], finite.linprog
+
+        def third_fails(*args):
+            calls.append(1)
+            res = original(*args)
+            if len(calls) % 3 == 0:
+                res.status, res.basis = 4, None
+            return res
+
+        monkeypatch.setattr(finite, "linprog", third_fails)
+        rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                        base_seed=0)
+        assert len(calls) == 12
+        assert (rec.lp_failures, rec.samples) == (4, 8)
+        assert not rec.collapsed
 
     def test_null_model_far_below_criterion(self):
         # isotropic vertex cloud: correlation spectrum stays near the
