@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -254,8 +255,8 @@ def _cmd_validate(args):
     from .critical import solve_critical_pi
     from .ensemble import sample_economy
     from .finite import certify_equilibrium, solve_equilibrium
-    from .gaussian import gauss_hermite_rule, half_moments
-    from .replica import branch_switch_pi
+    from .gaussian import half_moments
+    from .replica import _RULE, branch_switch_pi
 
     failures = []
 
@@ -264,22 +265,18 @@ def _cmd_validate(args):
         if not ok:
             failures.append(name)
 
-    rule = gauss_hermite_rule(120)
-    check("quadrature weights normalized",
-          abs(rule.weights.sum() - 1.0) < 1e-12)
-    x = 0.7
-    i0, i1, i2 = half_moments(x)
-    check("half-Gaussian moment identity I2 - x I1 = I0",
-          abs(i2 - x * i1 - i0) < 1e-12)
+    t2 = _RULE.nodes ** 2
+    check("quadrature <t^2> = 1", abs(_RULE.weights @ t2 - 1.0) < 1e-12)
+    check("quadrature <t^4> = 3", abs(_RULE.weights @ t2 ** 2 - 3.0) < 1e-12)
+    check("half-Gaussian I0(1) = Phi(1)",
+          abs(half_moments(1.0)[0] - 0.5 * math.erfc(-1 / math.sqrt(2)))
+          < 1e-12)
     params = EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)
     sol = solve_saddle(params)
     check("industrial solution at (n=2, pi=0.65)", sol.branch == "industrial")
     obs = observable_set(sol)
     check("consumption + waste = mean availability",
           abs(obs.consumption + obs.waste - obs.x_mean) < 1e-9)
-    check("mean availability identity",
-          abs(obs.x_mean - (params.pi - params.n * params.eps * obs.s_mean))
-          < 1e-6)
     # the two legs of the phase boundary: industrial roots just above the
     # analytic pi_c, and the saddle branch's chi = 0 end against it
     for n in (0.5, 1.0, 2.0):

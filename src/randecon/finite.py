@@ -51,6 +51,7 @@ third of each LP.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -544,12 +545,12 @@ class FeasibilityRecord:
 #: a trial's cone is open when its LP optimum sum_i s_i exceeds this
 _OPEN_CONE = 1e-6
 
-#: the scan line whose cone thresholds are remembered, as one tuple
-#: (key, brackets) with key (N, C, eps, base_seed) and
-#: brackets {trial index: (largest primary count known shut, smallest
-#: known open)}; swapped whole, so a call never writes into another
-#: line's brackets
-_scan_line = (None, {})
+
+@functools.lru_cache(maxsize=1)
+def _brackets(N: int, C: int, eps: float, base_seed: int) -> dict:
+    """The cone brackets of one scan line, {trial index: (largest primary
+    count known shut, smallest known open)}; the cache keeps one line."""
+    return {}
 
 
 def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
@@ -577,19 +578,13 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     line may lose a bracket update, which costs an LP and never changes
     an answer.
     """
-    global _scan_line
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    key = (int(round(params.n * C)), C, params.eps, base_seed)
-    line = _scan_line
-    if line[0] != key:
-        line = (key, {})
-        _scan_line = line
-    brackets, unknown = line[1], (-1, C + 1)
+    N = int(round(params.n * C))
+    brackets, unknown = _brackets(N, C, params.eps, base_seed), (-1, C + 1)
     feasible = failures = lps = 0
     for idx in range(trials):
         econ = sample_economy(params, C, base_seed + idx)
-        N = econ.N
         m = int(econ.x0.sum())
         shut, open_ = brackets.get(idx, unknown)
         if m <= shut:
@@ -599,13 +594,12 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
             continue
         lps += 1
         a_ub = -econ.q.T[econ.x0 == 0]
-        res = linprog(-np.ones(econ.N), a_ub, np.zeros(len(a_ub)), 0.0, 1.0)
-        if res.status != 0:
-            failures += 1
-            continue
+        res = linprog(-np.ones(N), a_ub, np.zeros(len(a_ub)), 0.0, 1.0)
         # re-read: another thread on this line may have tightened it
         shut, open_ = brackets.get(idx, unknown)
-        if -res.fun > _OPEN_CONE:
+        if res.status != 0:
+            failures += 1
+        elif -res.fun > _OPEN_CONE:
             feasible += 1
             brackets[idx] = (shut, min(open_, m))
         else:
@@ -690,10 +684,7 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
             continue
         lams.append(_top_eigenvalue(verts))
         samples += len(verts)
-    if not lams:
-        return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps,
-                              N=N, C=C, samples=0, lp_failures=lp_failures,
-                              lambda_max=float("nan"), collapsed=True)
     return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps, N=N, C=C,
                           samples=samples, lp_failures=lp_failures,
-                          lambda_max=float(np.mean(lams)), collapsed=False)
+                          lambda_max=float(np.mean(lams)) if lams else math.nan,
+                          collapsed=not lams)

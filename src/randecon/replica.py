@@ -350,11 +350,6 @@ class _Search:
         return None
 
 
-def _solution(params, branch, op, norm, evals):
-    return SaddleSolution(params=params, branch=branch, op=op, residual_norm=norm,
-                          iterations=evals)
-
-
 def solve_saddle(params: EnsembleParams,
                  init: Optional[OrderParams] = None) -> SaddleSolution:
     """Solve the saddle-point equations at one parameter point.
@@ -380,19 +375,19 @@ def solve_saddle(params: EnsembleParams,
     for z0 in warm + starts:
         found = search.industrial(z0, n, pi)
         if found is not None:
-            return _solution(params, "industrial", *found[1:], search.evals)
+            return SaddleSolution(params, "industrial", *found[1:], search.evals)
     try:
         pi_c = critical.solve_critical_pi(n, params.eps).pi_c
     except NoRootError:
         pi_c = None
     if pi_c is not None and pi <= pi_c:
-        return _solution(params, "collapsed", None, 0.0, search.evals)
+        return SaddleSolution(params, "collapsed", None, 0.0, search.evals)
     for z0 in starts:
         anchor = search.industrial(z0, *_ANCHOR)
         if anchor is not None:
             found = search.along(anchor[0], _ANCHOR, (n, pi))
             if found is not None:
-                return _solution(params, "industrial", *found[1:], search.evals)
+                return SaddleSolution(params, "industrial", *found[1:], search.evals)
             break
     raise NoConvergenceError(
         f"no root at {params} after {search.evals} residual evaluations"
@@ -434,7 +429,8 @@ def sweep(params_grid: Sequence[EnsembleParams]):
         try:
             sol = solve_saddle(params, init=warm)
         except NoConvergenceError as exc:
-            out.append(_solution(params, "failed", None, np.inf, exc.evaluations))
+            out.append(SaddleSolution(params, "failed", None, np.inf,
+                                      exc.evaluations))
             warm = None
             continue
         out.append(sol)

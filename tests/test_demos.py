@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_phase_transition.py", "02_development_sweep.py",
          "03_distributions.py", "04_finite_economies.py",
-         "05_feasible_geometry.py")
+         pytest.param("05_feasible_geometry.py", marks=pytest.mark.slow))
 
 
 def run_demo(name):

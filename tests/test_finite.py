@@ -522,6 +522,7 @@ def extrapolate(params, plan, observables):
 class TestFiniteSizeExtrapolation:
     """The two legs agree at N -> infinity to the Monte Carlo's resolution."""
 
+    @pytest.mark.slow
     def test_phi_extrapolates_to_the_saddle_point(self):
         # phi(N) = a + b/N over N = n C in {50, 100, 200, 400}; fewer
         # instances at larger N keep it to ~10 s
@@ -532,6 +533,7 @@ class TestFiniteSizeExtrapolation:
         assert analytic == pytest.approx(0.41737, abs=1e-5)
         assert abs(a - analytic) <= 3.0 * se
 
+    @pytest.mark.slow
     def test_phi_and_scale_extrapolate_at_n_1(self):
         # the same sizes N at n = 1, about 12 s; phi and <s*> both
         params = EnsembleParams(n=1.0, pi=0.65, f=0.5, eps=0.1)
@@ -773,6 +775,16 @@ class TestPcaProbe:
         assert len(calls) == 12
         assert (rec.lp_failures, rec.samples) == (4, 8)
         assert not rec.collapsed
+
+    def test_closed_cone_is_collapsed(self):
+        # no primary goods: summing the availability rows gives
+        # -eps sum(s) >= 0, so every vertex is the origin whatever the
+        # draw, and no draw has a cloud
+        params = EnsembleParams(n=0.5, pi=0.0, f=0.5, eps=0.1)
+        rec = pca_probe(params, C=20, n_tech_draws=2, n_objective_draws=3,
+                        base_seed=1)
+        assert rec.collapsed and rec.samples == 0 and rec.lp_failures == 0
+        assert np.isnan(rec.lambda_max)
 
     def test_null_model_far_below_criterion(self):
         # isotropic vertex cloud: correlation spectrum stays near the
