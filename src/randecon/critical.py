@@ -28,6 +28,13 @@ from .gaussian import half_moments
 
 _XI_WINDOW = 10.0   # beyond |xi| ~ 10 the I_n underflow makes B meaningless
 _I2_FLOOR = 1e-100
+#: a discrete maximum of G/A on the xi grid counts only if it stands above
+#: the lowest G/A to its left by more than this fraction of its value.  At
+#: eps = 1 the two terms of t0 cancel, and the left tail of G/A is flat at
+#: 1/(2n) down to rounding ripples, whose maxima stand less than 1e-11
+#: above it; the well's maximum stands 0.08 or more above it (measured for
+#: n in [0.01, 1e5] and eps in [1e-4, 1.5]).
+_RIPPLE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,21 +74,29 @@ def solve_critical_pi(n: float, eps: float) -> CriticalPoint:
     G/A also grows without bound along a spurious large-xi branch where
     the moment ratio I2/I0^2 blows up; the physical stationary point is
     the maximum of the well around xi = 0, so a scan takes the leftmost
-    discrete local maximum, refined by a Brent search.  The returned
-    residual is |B| at (xi, pi_c).
+    discrete local maximum that rises above rounding (_RIPPLE), refined by
+    a Brent search.  The returned residual is |B| at (xi, pi_c).  Raises
+    NoRootError when the scan or the search finds no maximum.
     """
     if n <= 0 or eps <= 0:
         raise DomainError("n and eps must be positive")
     grid = np.linspace(-_XI_WINDOW, _XI_WINDOW, 2001)
     vals = _ratio(grid, n, eps)
     idx = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-    if idx.size == 0:
+    # the first that stands above the lowest G/A to its left (NaN skipped)
+    best = next((int(i) for i in idx
+                 if vals[i] - np.fmin.reduce(vals[:i]) > _RIPPLE * abs(vals[i])),
+                None)
+    if best is None:
         raise NoRootError("no interior local maximum of G/A in the xi window")
-    best = int(idx[0])
-    res = optimize.minimize_scalar(
-        lambda x: -float(_ratio(x, n, eps)),
-        bracket=(grid[best - 1], grid[best], grid[best + 1]),
-        method="brent", options={"xtol": 1e-12})
+    try:
+        res = optimize.minimize_scalar(
+            lambda x: -float(_ratio(x, n, eps)),
+            bracket=(grid[best - 1], grid[best], grid[best + 1]),
+            method="brent", options={"xtol": 1e-12})
+    except ValueError as exc:   # a tie with the right neighbour: no bracket
+        raise NoRootError(f"no bracket of the maximum of G/A at "
+                          f"xi = {grid[best]}: {exc}") from exc
     pi_c = 1.0 - 1.0 / -float(res.fun)
     if pi_c < 0:
         raise NoRootError(f"volume never vanishes at n={n}: B > 0 even at pi=0")

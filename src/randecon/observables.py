@@ -61,7 +61,7 @@ def goods_density(x, x0: int, k: int, op: OrderParams, params: EnsembleParams):
     x = np.asarray(x, dtype=float)
     w = np.sqrt(params.n * op.Omega)
     if k == 1:
-        # invert x* = (a + sqrt(a^2 + 4 chi))/2  =>  a = x - chi/x
+        # invert x* (x* - a) = chi  =>  a = x - chi/x
         if np.any(x <= 0):
             raise DomainError("final-good availability is strictly positive")
         a = x - op.chi / x
@@ -98,11 +98,13 @@ class ObservableSet:
 def observable_set(sol: SaddleSolution) -> ObservableSet:
     """Observables of an industrial or collapsed solution.
 
-    Industrial: x11 and x01 average x* = (a + sqrt(a^2 + 4 chi))/2 and the
-    utility averages log x* over the final-good field, by endowment class;
-    the non-final x10 and x00 have the closed form <max(a, 0)> = w I_1(b)
-    with w = sqrt(n Omega), b = (x0 - kappa)/w.  Raises NonFiniteError when
-    log x* is not finite at a quadrature node.
+    Industrial: x11 and x01 average x* and the utility averages log x*
+    over the final-good field (a, g) of replica.final_good_field, by
+    endowment class, with x* = a + g where a > 0 and x* = chi/g elsewhere
+    (log utility gives x* g = chi): neither form cancels.  The non-final
+    x10 and x00 have the closed form <max(a, 0)> = w I_1(b) with
+    w = sqrt(n Omega), b = (x0 - kappa)/w.  Raises NonFiniteError when
+    x* underflows to 0 at a quadrature node, so that log x* is -inf.
 
     In the collapsed state nothing operates: every good keeps its
     endowment, so (x11, x01, x10, x00) = (1, 0, 1, 0), and the log utility
@@ -121,9 +123,10 @@ def observable_set(sol: SaddleSolution) -> ObservableSet:
         util = 0.0 if params.pi == 1.0 else float("-inf")
     else:
         n_omega = params.n * op.Omega
-        rule, a, root = final_good_field(op.kappa, n_omega, op.chi)
-        x = 0.5 * (a + root)
         with np.errstate(divide="ignore"):
+            # at tiny chi the form np.where does not take may divide by zero
+            rule, a, g = final_good_field(op.kappa, n_omega, op.chi)
+            x = np.where(a > 0, a + g, op.chi / g)
             log_x = np.log(x)
         if not np.all(np.isfinite(log_x)):
             raise NonFiniteError("log x* is not finite at a quadrature node")

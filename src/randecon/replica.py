@@ -8,22 +8,22 @@ Gaussian
     s*(t) = ((sigma t - p eps)/chi_hat) Theta(sigma t - p eps),
 
 and the representative good solves  k chi u'(x*) = x* - a  with
-a = x0 - kappa - sqrt(n Omega) t.  For log utility and chi > 0 this gives
-x* = (a + sqrt(a^2 + 4 chi))/2; for k = 0 or chi = 0 it clamps to
-x* = a Theta(a).  Non-final goods average in closed form; final goods on
-the Gauss-Hermite rule _RULE, whose nodes only final_good_field visits,
-for the M averages here and for the observables.  Every residual below
-takes its M averages and scale-law moments from one pass of _moments, with
-a single half_moments call on the shifts of both.
+a = x0 - kappa - sqrt(n Omega) t.  For log utility and chi > 0 the
+final-good term is g = chi u'(x*) = x* - a = (sqrt(a^2 + 4 chi) - a)/2,
+and x* g = chi; for k = 0 or chi = 0 x* clamps to a Theta(a).  Non-final
+goods average in closed form; final goods on the Gauss-Hermite rule
+_RULE, for the M averages here and for the observables; final_good_field
+alone forms g on its nodes, free of cancellation on each side of a = 0.
+Every residual below takes its M averages and scale-law moments from one
+pass of _moments, with a single half_moments call on the shifts of both.
 
 Both branches are solved as one regular system in
 (Omega, kappa, ell, gamma, delta, chi) with ell = p chi, gamma = sigma chi
 and delta = chi_hat chi (see regular_residual).  chi enters it only
-through the final-good term chi u'(x*) = (sqrt(a^2 + 4 chi) - a)/2, which
-tends to the clamp gap as chi -> 0, so chi = 0 is an ordinary point.
-There the first five equations are the rescaled chi = 0 system
-(rescaled_residual), independent of the final-good fraction f, and the
-sixth, delta = n phi, holds only at the branch switch pi_s(n, eps).
+through g, which tends to the clamp gap as chi -> 0, so chi = 0 is an
+ordinary point.  There the first five equations are the rescaled chi = 0
+system (rescaled_residual), independent of the final-good fraction f, and
+the sixth, delta = n phi, holds only at the branch switch pi_s(n, eps).
 
 * industrial: a root with chi > 0;
 * collapsed: no root, and pi at or below the analytic boundary
@@ -94,16 +94,20 @@ def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
 
 
 def final_good_field(kappa: float, n_omega: float, chi: float):
-    """(rule, a, root): the final-good field on the nodes t of the rule.
+    """(rule, a, g): the final-good field on the nodes t of the rule.
 
-    a = x0 - kappa - sqrt(n Omega) t and root = sqrt(a^2 + 4 chi), one row
-    per endowment class x0 in {0, 1}, so that x* = (a + root)/2 and
-    chi u'(x*) = (root - a)/2.  For chi < 0 the radicand is cut at zero,
-    which keeps the field finite for a solver that steps across chi = 0.
+    a = x0 - kappa - sqrt(n Omega) t, one row per endowment class
+    x0 in {0, 1}, and g = chi u'(x*) = x* - a for log utility.  With
+    root = sqrt(a^2 + 4 chi), g = 2 chi/(root + a) where a > 0 and
+    (root - a)/2 elsewhere: each form is free of cancellation on its side.
+    Readers take x* = a + g where a > 0 and chi/g elsewhere (x* g = chi).
+    For chi < 0 the radicand is cut at zero, which keeps the field finite
+    for a solver that steps across chi = 0.
     """
     rule = _RULE
     a = np.array([[0.0 - kappa], [1.0 - kappa]]) - np.sqrt(n_omega) * rule.nodes
-    return rule, a, np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
+    root = np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
+    return rule, a, np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
 
 
 def _moments(omega, kappa, chi, scale, n, pi, f, eps):
@@ -128,10 +132,8 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
     m = (np.array([[w * i1[0], w * i1[1]], [w * i0[0], w * i0[1]],
                    [n_omega * i2[0], n_omega * i2[1]]]) @ weights).tolist()
     if f != 0 and chi != 0.0:
-        rule, a, root = final_good_field(kappa, n_omega, chi)
+        rule, _, g = final_good_field(kappa, n_omega, chi)
         t, wt = rule.nodes, rule.weights
-        # the two forms of g agree; each is free of cancellation on its side
-        g = np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
         final = np.array([g @ wt, g @ (wt * t), (g * g) @ wt]) @ weights
         m = [f * x + (1.0 - f) * y for x, y in zip(final.tolist(), m)]
     r = sigma / chi_hat

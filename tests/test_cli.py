@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy
 
-from randecon import finite, replica
+from randecon import critical, finite, replica
 from randecon.cli import (SOLUTION_COLUMNS, _fmt_cell, _solution_rows,
                           build_parser, main, parse_args)
 from randecon.ensemble import EnsembleParams
+from randecon.errors import NoConvergenceError, NoRootError
 from randecon.finite import lp_feasibility_fraction
 from randecon.replica import SaddleSolution, sweep
 
@@ -111,6 +112,12 @@ class TestSaddle:
         a = data_rows(run_cli(*args).stdout)
         b = data_rows(run_cli(*args).stdout)
         assert a == b
+
+
+    def test_eps_one(self):
+        # pi_c(0.5, 1) is about 0.744, so the point is collapsed
+        proc = run_cli("saddle", "--eps", "1", "--n", "0.5", "--pi", "0.1")
+        assert data_rows(proc.stdout)[1].split(",")[4] == "collapsed"
 
 
 class TestSweep:
@@ -233,6 +240,28 @@ class TestCriticalLine:
         first = rows[1].split(",")
         assert float(first[2]) == pytest.approx(0.330440, abs=2e-5)
 
+    def test_eps_one(self):
+        proc = run_cli("critical-line", "--eps", "1", "--from", "0.5",
+                       "--to", "1", "--points", "2")
+        pi_c = [float(r.split(",")[2]) for r in data_rows(proc.stdout)[1:]]
+        assert pi_c == pytest.approx([0.74418, 0.61335], abs=1e-5)
+
+    def test_no_root_is_nan_row_and_partial(self, monkeypatch, capsys):
+        original = critical.solve_critical_pi
+
+        def none_at_1_5(n, eps):
+            if n == 1.5:
+                raise NoRootError("volume never vanishes")
+            return original(n, eps)
+
+        monkeypatch.setattr(critical, "solve_critical_pi", none_at_1_5)
+        assert main(["critical-line", "--eps", "0.1", "--from", "1",
+                     "--to", "2", "--points", "3"]) == 1
+        rows = [r.split(",") for r in data_rows(capsys.readouterr().out)[1:]]
+        assert [r[0] for r in rows] == ["1.0", "1.5", "2.0"]
+        assert rows[1][2:] == ["nan", "nan", "inf"]
+        assert all(float(r[2]) > 0 for r in (rows[0], rows[2]))
+
 
 class TestFiniteCommands:
     def test_finite(self):
@@ -284,6 +313,39 @@ class TestFiniteCommands:
         lines = [line for line in proc.stdout.splitlines()
                  if line.startswith("# lp_failures")]
         assert lines == ["# lp_failures = 0"]
+
+    def test_lp_fraction_lp_failure_is_partial(self, monkeypatch, capsys):
+        # a line (seed) no other test scans, so every trial solves its LP
+        calls, original = [], finite.linprog
+
+        def second_fails(*args):
+            calls.append(1)
+            res = original(*args)
+            if len(calls) == 2:
+                res.status, res.basis = 4, None
+            return res
+
+        monkeypatch.setattr(finite, "linprog", second_fails)
+        assert main(["lp-fraction", "--n", "1", "--pi", "0.4", "--eps", "0.1",
+                     "--C", "40", "--trials", "5", "--seed", "9031"]) == 1
+        out = capsys.readouterr().out
+        assert len(calls) == 5
+        assert "# lp_failures = 1" in out.splitlines()
+
+    def test_finite_failure_is_partial(self, monkeypatch, capsys):
+        original = finite.solve_equilibrium
+
+        def second_fails(econ):
+            if econ.seed == 1:
+                raise NoConvergenceError("stalled")
+            return original(econ)
+
+        monkeypatch.setattr(finite, "solve_equilibrium", second_fails)
+        assert main(["finite", "--n", "3", "--pi", "0.65", "--f", "0.5",
+                     "--eps", "0.1", "--C", "20", "--instances", "3",
+                     "--seed", "0"]) == 1
+        row = data_rows(capsys.readouterr().out)[1].split(",")
+        assert row[5:7] == ["3", "1"]          # instances, failures
 
     def test_pca_probe_lp_failure_is_partial(self, monkeypatch, capsys):
         # one failed LP of 8 leaves a record that is not collapsed, but the

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from randecon import critical
 from randecon.critical import bracket_B, critical_line_sweep, solve_critical_pi
+from randecon.errors import NoRootError
 from randecon.gaussian import gauss_moment_I, std_normal_pdf
 
 
@@ -154,6 +156,25 @@ class TestCriticalPi:
         pt = solve_critical_pi(1.0, 0.1)
         assert bracket_B(pt.xi, pt.pi_c + 1e-3, 1.0, 0.1) > 0
         assert bracket_B(pt.xi, pt.pi_c - 1e-3, 1.0, 0.1) < 0
+
+
+class TestEpsOne:
+    """At eps = 1 the two terms of t0 cancel and the left tail of G/A is
+    flat at 1/(2n) down to rounding; its ripples are not the well."""
+
+    @pytest.mark.parametrize("n", [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 100.0])
+    def test_continuous_in_eps(self, n):
+        at_one = solve_critical_pi(n, 1.0).pi_c
+        for eps in (0.999, 1.001):
+            assert abs(at_one - solve_critical_pi(n, eps).pi_c) < 1e-3
+
+    def test_tied_maximum_is_no_root(self, monkeypatch):
+        # a plateau at the top ties the maximum with its right neighbour,
+        # so no Brent bracket exists: NoRootError, not scipy's ValueError
+        monkeypatch.setattr(critical, "_ratio",
+                            lambda xi, n, eps: 2.0 - np.abs(np.round(xi, 1)))
+        with pytest.raises(NoRootError, match="no bracket"):
+            solve_critical_pi(1.0, 0.1)
 
 
 class TestCriticalLineSweep:

@@ -493,6 +493,36 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo_observables(PARAMS, C=20, instances=1, base_seed=0)
 
+    def test_failed_instances_are_counted_and_left_out(self, monkeypatch):
+        # seeds 61 and 63 of 60-64 stall: the means are those of the rest
+        original = finite.solve_equilibrium
+
+        def stalls(econ):
+            if econ.seed in (61, 63):
+                raise NoConvergenceError("stalled")
+            return original(econ)
+
+        monkeypatch.setattr(finite, "solve_equilibrium", stalls)
+        out = monte_carlo_observables(PARAMS, C=20, instances=5, base_seed=60)
+        assert (out.instances, out.failures) == (5, 2)
+        sols = [original(sample_economy(PARAMS, 20, seed)) for seed in (60, 62, 64)]
+        assert out.s_mean == pytest.approx(np.mean([s.s_star.mean() for s in sols]),
+                                           rel=1e-14)
+        assert out.x_mean == pytest.approx(np.mean([s.x_star.mean() for s in sols]),
+                                           rel=1e-14)
+
+    def test_fewer_than_two_solved_raises(self, monkeypatch):
+        original = finite.solve_equilibrium
+
+        def only_first(econ):
+            if econ.seed != 70:
+                raise NoConvergenceError("stalled")
+            return original(econ)
+
+        monkeypatch.setattr(finite, "solve_equilibrium", only_first)
+        with pytest.raises(NoConvergenceError, match="only 1 instances solved"):
+            monte_carlo_observables(PARAMS, C=20, instances=3, base_seed=70)
+
     def test_collapsed_utility_sentinel(self):
         params = EnsembleParams(n=1.0, pi=0.05, f=0.5, eps=0.1)
         out = monte_carlo_observables(params, C=30, instances=3, base_seed=9)
@@ -653,6 +683,30 @@ class TestFeasibilityFraction:
             assert all(r.lps <= r.trials for r in recs)
             assert ([replace(r, lps=0) for r in recs]
                     == [replace(r, lps=0) for r in serial[line]])
+
+    def test_failed_lps_are_counted_and_not_remembered(self, monkeypatch):
+        # a line no other test scans, so the first call solves every trial
+        params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
+        want = per_pi_feasibility(params, 40, 10, 9530)
+        calls, failed, original = [], [], finite.linprog
+
+        def some_fail(*args):
+            calls.append(1)
+            res = original(*args)
+            if len(calls) in (2, 3):
+                failed.append(-res.fun > finite._OPEN_CONE)
+                res.status, res.basis = 4, None
+            return res
+
+        monkeypatch.setattr(finite, "linprog", some_fail)
+        rec = lp_feasibility_fraction(params, C=40, trials=10, base_seed=9530)
+        assert (rec.lps, rec.failures) == (10, 2)
+        assert failed == [True, False]          # one open cone, one shut
+        assert rec.feasible_count == want[0] - sum(failed)
+        # no bracket was written for the failed trials: they solve again
+        again = lp_feasibility_fraction(params, C=40, trials=10, base_seed=9530)
+        assert (again.lps, again.failures) == (2, 0)
+        assert again.feasible_count == want[0]
 
     def test_pi_one(self):
         rec = lp_feasibility_fraction(PARAMS.with_(pi=1.0), C=30, trials=10,

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from randecon import replica
 from randecon.ensemble import EnsembleParams
 from randecon.errors import DomainError, NonFiniteError
 from randecon.gaussian import std_normal_pdf
@@ -134,14 +137,38 @@ class TestUtility:
             want += weight * val
         assert obs.utility == pytest.approx(want, abs=1e-9)
 
-    def test_underflow_raises(self):
-        # chi = 1e-20: a^2 + 4 chi rounds to a^2, so x* = 0 where a < 0
-        op = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=1e-20,
+    @staticmethod
+    def tiny_chi(chi):
+        op = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=chi,
                          chi_hat=1.4)
-        sol = SaddleSolution(params=PARAMS, branch="industrial", op=op,
-                             residual_norm=0.0, iterations=0)
+        return SaddleSolution(params=PARAMS, branch="industrial", op=op,
+                              residual_norm=0.0, iterations=0)
+
+    def test_tiny_chi_matches_per_node_oracle(self):
+        # chi = 1e-20: a^2 + 4 chi rounds to a^2 where a < 0, so x* there is
+        # chi/g = 2 chi/(root - a), not the half-sum (a + root)/2 = 0
+        sol = self.tiny_chi(1e-20)
+        op = sol.op
+        obs = observable_set(sol)
+        w = math.sqrt(PARAMS.n * op.Omega)
+        want = 0.0
+        for x0, weight in ((1.0, PARAMS.pi), (0.0, 1.0 - PARAMS.pi)):
+            terms = []
+            for t, wt in zip(replica._RULE.nodes.tolist(),
+                             replica._RULE.weights.tolist()):
+                a = x0 - op.kappa - w * t
+                root = math.sqrt(a * a + 4.0 * op.chi)
+                x = 0.5 * (a + root) if a > 0 else 2.0 * op.chi / (root - a)
+                terms.append(wt * math.log(x))
+            want += weight * math.fsum(terms)
+        assert math.isfinite(obs.utility)
+        assert obs.utility == pytest.approx(want, rel=1e-12)
+
+    def test_underflow_raises(self):
+        # chi = 5e-324, the smallest subnormal: x* = chi/g rounds to 0
+        # where |a| > 2, so log x* is -inf there
         with pytest.raises(NonFiniteError):
-            observable_set(sol)
+            observable_set(self.tiny_chi(5e-324))
 
 
 def collapsed(params):

@@ -24,26 +24,29 @@ def converged():
 
 
 class TestXStar:
-    """x* = (a + root)/2 on the final-good field, one row per x0 in {0, 1}."""
+    """g = chi u'(x*) = x* - a on the final-good field, one row per x0 in
+    {0, 1}, and x* = a + g where a > 0, chi/g elsewhere."""
     OP = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=0.2,
                      chi_hat=1.4)
 
     def field(self, n, kappa=None):
         kappa = self.OP.kappa if kappa is None else kappa
-        _, a, root = final_good_field(kappa, n * self.OP.Omega, self.OP.chi)
-        return a, 0.5 * (a + root)
+        _, a, g = final_good_field(kappa, n * self.OP.Omega, self.OP.chi)
+        return a, g, np.where(a > 0, a + g, self.OP.chi / g)
 
     def test_at_gap_zero(self):
-        # a = 0 at one node of the x0 = 0 row: x* = sqrt(chi)
+        # a = 0 at one node of the x0 = 0 row: x* = g = sqrt(chi)
         nodes = replica._RULE.nodes
         k = len(nodes) // 2
-        a, xs = self.field(1.0, kappa=-(np.sqrt(self.OP.Omega) * nodes[k]))
+        a, g, xs = self.field(1.0, kappa=-(np.sqrt(self.OP.Omega) * nodes[k]))
         assert a[0, k] == 0.0
+        assert g[0, k] == pytest.approx(np.sqrt(0.2), abs=1e-12)
         assert xs[0, k] == pytest.approx(np.sqrt(0.2), abs=1e-12)
 
     def test_fixed_point_residual(self):
-        a, xs = self.field(1.0)
+        a, g, xs = self.field(1.0)
         np.testing.assert_allclose(self.OP.chi / xs, xs - a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xs * g, self.OP.chi, rtol=1e-15, atol=0)
 
     @staticmethod
     def bracketed_root(a, chi, uprime):
@@ -56,7 +59,7 @@ class TestXStar:
                                xtol=1e-14, rtol=1e-12)
 
     def test_generic_utility_path_matches_log(self):
-        a, xs = self.field(2.0)
+        a, _, xs = self.field(2.0)
         for a_i, closed in zip(a[1], xs[1]):
             generic = self.bracketed_root(a_i, self.OP.chi, lambda x: 1.0 / x)
             assert generic == pytest.approx(closed, abs=1e-10)
@@ -311,6 +314,21 @@ class TestPhaseLabels:
     def test_branch_switch_on_critical_line(self, n, pi_start):
         switch = branch_switch_pi(n, 0.1, pi_start=pi_start)
         assert abs(switch - solve_critical_pi(n, 0.1).pi_c) < 1e-3
+
+    def test_branch_switch_below_pi_c_raises(self):
+        # pi_c(1, 0.1) is 0.33: pi_start is on the collapsed side
+        with pytest.raises(NoConvergenceError, match="no industrial solution"):
+            branch_switch_pi(1.0, 0.1, pi_start=0.2)
+
+    @pytest.mark.parametrize("n", [3.0, 4.0, 8.0])
+    def test_branch_switch_at_small_eps_reports_failure(self, n):
+        # the walk down in chi may not reach chi = 0 here; it must then
+        # raise, and otherwise land on pi_c
+        try:
+            switch = branch_switch_pi(n, 0.01)
+        except NoConvergenceError:
+            return
+        assert abs(switch - solve_critical_pi(n, 0.01).pi_c) < 1e-5
 
 
 class TestBudget:

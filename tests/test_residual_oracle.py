@@ -3,9 +3,10 @@
 replica._moments evaluates the clamp classes, the final-good quadrature and
 the scale law of one point in a single pass.  The oracles here are the
 same residuals assembled the long way, from the per-part functions
-(script_I for the clamp classes, final_good_field for the final goods,
-truncated_scale_moments for the scale law), with the same floating-point
-operations; the kernel must give the same bits, NaN for NaN.
+(script_I for the clamp classes, chi u'(x*) formed here on the nodes and
+shifts a of final_good_field for the final goods, truncated_scale_moments
+for the scale law), with the same floating-point operations; the kernel
+must give the same bits, NaN for NaN.
 
 saddle_residual and rescaled_residual are the regular residual divided
 through into the original variables and cut to its chi = 0 rows; they are
@@ -41,8 +42,9 @@ def oracle_moments(omega, kappa, chi, n, pi, f):
     clamp = np.array(script_I(x0, kappa, n_omega)) @ weights
     if f == 0 or chi == 0.0:
         return clamp
-    rule, a, root = final_good_field(kappa, n_omega, chi)
+    rule, a, _ = final_good_field(kappa, n_omega, chi)
     t, w = rule.nodes, rule.weights
+    root = np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
     g = np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
     final = np.array([(g @ w), (g @ (w * t)), ((g * g) @ w)]) @ weights
     return f * final + (1.0 - f) * clamp
