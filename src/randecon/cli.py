@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -217,6 +218,13 @@ def _run_pi_grid(args, one_point):
         return list(pool.map(one_point, pis)), ("pi",) if gridded else ()
 
 
+def _statuses(recs):
+    """The messages of the failed LPs of some records, each with its count,
+    in order of first appearance: "none" when no LP failed."""
+    counts = Counter(s for r in recs for s in r.failure_statuses)
+    return "; ".join(f"{s}: {n}" for s, n in counts.items()) or "none"
+
+
 def _cmd_lp_fraction(args):
     def one(pi):
         return lp_feasibility_fraction(_lp_params(args, pi), args.C,
@@ -226,10 +234,13 @@ def _cmd_lp_fraction(args):
     rows = [(r.n, r.pi, r.eps, r.N, r.trials, r.feasible_count, r.fraction)
             for r in recs]
     failures = sum(r.failures for r in recs)
-    # LPs solved over the grid; the rest were settled by the remembered
-    # cone thresholds, so the count varies with the threads' interleaving
+    # LPs solved over the grid, each from its trial's last optimal basis;
+    # the other trials were settled by the pi brackets that the scan line
+    # keeps per trial, which the threads share, so the count varies with
+    # their interleaving
     meta = dict(_meta(args, "lp-fraction", unread),
-                lps=sum(r.lps for r in recs), lp_failures=failures)
+                lps=sum(r.lps for r in recs), lp_failures=failures,
+                lp_failure_statuses=_statuses(recs))
     _emit(args.output, meta, cols, rows, args.format)
     return _EXIT_PARTIAL if failures else _EXIT_OK
 
@@ -244,7 +255,8 @@ def _cmd_pca_probe(args):
     rows = [(r.n, r.pi, r.eps, r.N, r.C, r.samples, r.lambda_max,
              r.lambda_max_over_N, r.collapsed) for r in recs]
     lp_failures = sum(r.lp_failures for r in recs)
-    meta = dict(_meta(args, "pca-probe", unread), lp_failures=lp_failures)
+    meta = dict(_meta(args, "pca-probe", unread), lp_failures=lp_failures,
+                lp_failure_statuses=_statuses(recs))
     _emit(args.output, meta, cols, rows, args.format)
     failed = lp_failures or any(r.collapsed for r in recs)
     return _EXIT_PARTIAL if failed else _EXIT_OK

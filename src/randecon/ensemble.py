@@ -61,8 +61,14 @@ class EconomyInstance:
             raise DomainError("x0 and k must have length C")
 
 
-def sample_economy(params: EnsembleParams, C: int, seed: int) -> EconomyInstance:
-    """Draw one economy instance; bit-reproducible from (params, C, seed)."""
+def economy_draws(params: EnsembleParams, C: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random numbers of one economy instance, in the order they are
+    drawn from ``default_rng(seed)``: the technology matrix q (N x C), the
+    endowment uniforms u and the preference uniforms v (each of length C).
+    Good c is primary when u_c < pi and final when v_c < f
+    (``sample_economy``); nothing here reads pi or f, so the primary and
+    final sets of one seed are nested in pi and in f."""
     if C < 2:
         raise DomainError("C must be at least 2")
     N = int(round(params.n * C))
@@ -74,9 +80,15 @@ def sample_economy(params: EnsembleParams, C: int, seed: int) -> EconomyInstance
     # each activity consumes eps more than it produces, which makes the
     # per-instance identity mean(x) = mean(x0) - (N/C) eps mean(s) exact
     q -= (q.sum(axis=1, keepdims=True) + params.eps) / C
-    x0 = (rng.random(C) < params.pi).astype(float)
-    k = (rng.random(C) < params.f).astype(float)
-    return EconomyInstance(N=N, C=C, eps=params.eps, seed=seed, q=q, x0=x0, k=k)
+    return q, rng.random(C), rng.random(C)
+
+
+def sample_economy(params: EnsembleParams, C: int, seed: int) -> EconomyInstance:
+    """Draw one economy instance; bit-reproducible from (params, C, seed)."""
+    q, u, v = economy_draws(params, C, seed)
+    return EconomyInstance(N=q.shape[0], C=C, eps=params.eps, seed=seed, q=q,
+                           x0=(u < params.pi).astype(float),
+                           k=(v < params.f).astype(float))
 
 
 def intermediate_sweep_map(f_over_n: float, pi_over_n: float, i: float,

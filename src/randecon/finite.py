@@ -24,9 +24,11 @@ Three numerical experiments on sampled economies:
   origin?  A bounded LP answers per instance; the fraction over trials
   estimates the probability, which drops from 1 to 0 across the
   critical line.  At a fixed seed the primary sets are nested in pi, so
-  each trial's cone opens at one count of primary goods.  The module
-  remembers, for the most recent scan line only, a bracket on that count
-  per trial, and answers without an LP the trials the bracket settles.
+  each trial's cone opens at one value of pi.  The module remembers, for
+  the most recent scan line only, a bracket on that value per trial and
+  the trial's last optimal basis.  It answers the trials the bracket
+  settles without an LP or a draw, and starts every other trial's LP
+  from that basis.
 * ``pca_probe``: samples vertices of the full feasible polytope by
   maximizing random linear objectives, and measures the elongation of
   the sampled cloud by the top eigenvalue of its correlation matrix.
@@ -36,15 +38,21 @@ Three numerical experiments on sampled economies:
 Every LP, the phase-one LP of ``solve_equilibrium`` included, goes
 through this module's ``linprog``, a thin wrapper over the HiGHS binding
 that scipy ships: the dense constraint matrix goes to HiGHS column by
-column, and its dual simplex solves the LP with presolve and scaling off,
-on a fresh solver object per call, so concurrent calls share no solver
-state.  Scaling is off because every matrix here is at unit scale
-already (the entries of q are N(0, 1/C), the other rows and columns
-0/1), and equilibrating it only costs simplex iterations.  A call may
-start from the optimal basis of an earlier LP over a matrix of the same
-shape: restarting a dual simplex from a nearby optimal basis is the
-standard way to re-solve LPs that share a constraint matrix.  An optimum
-counts only when it also passes the bound and row check of
+column, and its simplex solves the LP with presolve and scaling off, on
+a fresh solver object per call, so concurrent calls share no solver
+state.  HiGHS chooses the primal simplex when the start basis is primal
+feasible and the dual simplex otherwise.  Scaling is off because every
+matrix here is at unit scale already (the entries of q are N(0, 1/C),
+the other rows and columns 0/1), and equilibrating it only costs
+simplex iterations.  A call may start from the optimal basis of an
+earlier LP over a matrix of the same shape: restarting the simplex from
+a nearby optimal basis is the standard way to re-solve LPs that share a
+constraint matrix.  When the new LP relaxes the old one, as on an
+ascending scan line, that basis stays primal feasible and the primal
+simplex goes on from it; otherwise the dual simplex does.  The primal
+simplex can stall on a degenerate vertex, so an LP that ends without an
+optimum is solved again by the dual simplex from the slack basis.  An
+optimum counts only when it also passes the bound and row check of
 ``scipy.optimize.linprog``, whose Python layer (option validation, a
 sparse copy of the matrix, a loop over the basis) would cost about a
 third of each LP.
@@ -61,7 +69,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as _highs
 
-from .ensemble import EconomyInstance, EnsembleParams, sample_economy
+from .ensemble import (EconomyInstance, EnsembleParams, economy_draws,
+                       sample_economy)
 from .errors import DomainError, NoConvergenceError
 
 #: production scales below this are treated as shut down
@@ -102,11 +111,10 @@ class EquilibriumSolution:
         return int(np.count_nonzero(self.s_star > ACTIVE_THRESHOLD))
 
 
-def _lp_options() -> _highs.HighsOptions:
+def _lp_options(strategy) -> _highs.HighsOptions:
     opts = _highs.HighsOptions()
     opts.solver = "simplex"
-    opts.simplex_strategy = int(
-        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    opts.simplex_strategy = int(strategy)
     opts.presolve = "off"
     # no scaling: the matrices are at unit scale already (module docstring)
     opts.simplex_scale_strategy = 0
@@ -114,9 +122,16 @@ def _lp_options() -> _highs.HighsOptions:
     return opts
 
 
-#: HiGHS settings of every LP: dual simplex, no presolve, no scaling, no
-#: output; only read, never written, so concurrent calls can share them
-_LP_OPTIONS = _lp_options()
+#: HiGHS settings of every LP: the primal simplex when the start basis is
+#: primal feasible and the dual simplex otherwise, no presolve, no
+#: scaling, no output; only read, never written, so concurrent calls can
+#: share them
+_LP_OPTIONS = _lp_options(
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyChoose)
+#: the same with the dual simplex, for the one re-solve of an LP that
+#: ended without an optimum
+_DUAL_OPTIONS = _lp_options(
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 #: HiGHS's optimum must also satisfy the bounds and rows to this, as
 #: scipy.optimize.linprog checks (10 sqrt(tol) at its tol = 1e-9)
 _LP_TOL = 10.0 * math.sqrt(1e-9)
@@ -134,14 +149,18 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     """Minimize c x subject to a_ub x <= b_ub and lower <= x <= upper.
 
     The dense (m, n) ``a_ub`` goes to HiGHS column by column, with every
-    entry stored, and HiGHS's dual simplex (Huangfu & Hall, *Math. Prog.
-    Comp.* 2018) solves it with presolve and scaling off, on a fresh
-    solver object per call.  ``lower`` and ``upper`` are scalars or
-    length-n arrays; m may be 0.  ``basis``, the ``basis`` of an earlier
-    optimal result over a matrix of the same shape, starts the simplex
-    there instead of at the slack basis; a dual simplex restarted from the
-    optimal basis of a nearby LP over the same matrix needs far fewer
-    iterations.  Returns ``x``, ``fun``, ``status``, ``message`` and
+    entry stored, and HiGHS solves it with presolve and scaling off, on a
+    fresh solver object per call: by its primal simplex when the start
+    basis is primal feasible, else by its dual simplex (Huangfu & Hall,
+    *Math. Prog. Comp.* 2018).  ``lower`` and ``upper`` are scalars or
+    length-n arrays; m may be 0, and an entry of ``b_ub`` may be +inf (a
+    row without bound).  ``basis``, the ``basis`` of an earlier optimal
+    result over a matrix of the same shape, starts the simplex there
+    instead of at the slack basis; restarted from the optimal basis of a
+    nearby LP over the same matrix, the simplex needs far fewer
+    iterations.  An LP that ends without a valid optimum is solved once
+    more, by the dual simplex from the slack basis, and that result
+    stands.  Returns ``x``, ``fun``, ``status``, ``message`` and
     ``basis`` with ``scipy.optimize.linprog``'s status codes.  ``status``
     is 0 only when HiGHS reports an optimum and ``x`` is finite and within
     the bounds and rows to 10 sqrt(1e-9), the check ``linprog`` makes, so
@@ -158,8 +177,23 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
         raise DomainError(f"linprog needs a basis of {n} columns and {m} "
                           f"rows for a_ub of shape {a_ub.shape}")
     lower, upper = np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
+    res = _highs_solve(_LP_OPTIONS, c, a_ub, b_ub, lower, upper, basis)
+    if res.status != 0:
+        # HiGHS's primal simplex can end on a degenerate vertex where
+        # every basis change it tries is refused (model status "Unknown";
+        # about 1 in 1,200 cold cone LPs at C = 30); the dual simplex from
+        # the slack basis is the fallback
+        res = _highs_solve(_DUAL_OPTIONS, c, a_ub, b_ub, lower, upper, None)
+    return res
+
+
+def _highs_solve(options, c, a_ub, b_ub, lower, upper,
+                 basis) -> OptimizeResult:
+    """``linprog``'s LP on a fresh HiGHS solver object with ``options``,
+    from ``basis`` or the slack basis."""
+    m, n = a_ub.shape
     solver = _highs._Highs()
-    solver.passOptions(_LP_OPTIONS)
+    solver.passOptions(options)
     # HiGHS rejects NaN bounds itself, but loops without end on a NaN cost
     loaded = (np.isfinite(c).all() and np.isfinite(a_ub).all()
               and solver.passModel(
@@ -534,8 +568,13 @@ class FeasibilityRecord:
     N: int
     trials: int
     feasible_count: int
-    failures: int
     lps: int                  # LPs solved; the other trials were bracketed
+    failure_statuses: tuple[str, ...] = ()   # ``linprog`` message of each
+                                             # LP with a nonzero status
+
+    @property
+    def failures(self) -> int:
+        return len(self.failure_statuses)
 
     @property
     def fraction(self) -> float:
@@ -544,12 +583,15 @@ class FeasibilityRecord:
 
 #: a trial's cone is open when its LP optimum sum_i s_i exceeds this
 _OPEN_CONE = 1e-6
+#: the bracket of a trial no LP of the line has answered yet
+_UNKNOWN = (-math.inf, math.inf, None)
 
 
 @functools.lru_cache(maxsize=1)
 def _brackets(N: int, C: int, eps: float, base_seed: int) -> dict:
-    """The cone brackets of one scan line, {trial index: (largest primary
-    count known shut, smallest known open)}; the cache keeps one line."""
+    """The cone brackets of one scan line, {trial index: (largest pi known
+    shut, pi above which the cone is known open, optimal basis of the
+    trial's last LP)}; the cache keeps one line."""
     return {}
 
 
@@ -561,52 +603,63 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     non-primary good c and 0 <= s_i <= 1.  The origin is always
     admissible, so the LP never fails for feasibility reasons; the trial
     counts as feasible when the optimum exceeds 1e-6 (``_OPEN_CONE``).
+    The LP keeps a row for every good, with upper bound +inf on a
+    primary good's row, so all LPs of one trial share the matrix -q^T.
 
-    ``sample_economy`` draws q and the endowment uniforms before the
-    preferences, and reads neither pi nor f to draw them.  So along one
-    scan line (fixed N, C, eps and base seed) a trial's
-    primary set grows with pi, its cone only widens, and the cone opens
-    at a single primary count k*.  The module keeps, for the most recent
-    line only, a bracket per trial: the largest primary count m whose LP
-    said shut and the smallest that said open.  A trial with m at or
-    below the first is infeasible and one at or above the second
-    feasible, without an LP; any other trial solves the LP and tightens
-    its bracket.  So a call never solves more LPs than trials, and every
-    answer is an LP's or follows from one by monotonicity.  A call on
-    another line starts that line's brackets afresh, so repeating a scan
-    over several lines costs every LP again.  Concurrent calls on one
-    line may lose a bracket update, which costs an LP and never changes
-    an answer.
+    ``economy_draws`` gives q and the endowment uniforms u without reading
+    pi or f, and good c is primary when u_c < pi.  So along one scan line
+    (fixed N, C, eps and base seed) a trial's primary set grows with pi,
+    its cone only widens, and the cone opens at a single primary count.
+    With u_(j) the j-th smallest uniform, an LP that says shut at m
+    primary goods settles every pi <= u_(m+1) as shut, and one that says
+    open settles every pi > u_(m) as open.  The module keeps, for the most
+    recent line only, a bracket per trial: the largest pi settled shut,
+    the smallest pi above which it is settled open, and the optimal basis
+    of the trial's last LP.  A trial whose bracket settles pi needs
+    neither an LP nor a draw; any other trial solves the LP from that
+    basis and tightens its bracket.  So a call never solves more LPs than
+    trials, and every answer is an LP's or follows from one by
+    monotonicity.  On an ascending scan each LP of a trial relaxes the one
+    before, so the old optimal basis is primal feasible and HiGHS's primal
+    simplex goes on from there.  A call on another line starts that line's brackets
+    afresh, so repeating a scan over several lines costs every LP again.
+    Concurrent calls on one line may lose a bracket update, which costs an
+    LP and never changes an answer.  A failed LP is counted, with its
+    message in ``failure_statuses``, and not remembered.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     N = int(round(params.n * C))
-    brackets, unknown = _brackets(N, C, params.eps, base_seed), (-1, C + 1)
-    feasible = failures = lps = 0
+    brackets = _brackets(N, C, params.eps, base_seed)
+    pi, feasible, lps, failed = params.pi, 0, 0, []
     for idx in range(trials):
-        econ = sample_economy(params, C, base_seed + idx)
-        m = int(econ.x0.sum())
-        shut, open_ = brackets.get(idx, unknown)
-        if m <= shut:
+        shut, open_, basis = brackets.get(idx, _UNKNOWN)
+        if pi <= shut:
             continue
-        if m >= open_:
+        if pi > open_:
             feasible += 1
             continue
         lps += 1
-        a_ub = -econ.q.T[econ.x0 == 0]
-        res = linprog(-np.ones(N), a_ub, np.zeros(len(a_ub)), 0.0, 1.0)
-        # re-read: another thread on this line may have tightened it
-        shut, open_ = brackets.get(idx, unknown)
+        q, u, _ = economy_draws(params, C, base_seed + idx)
+        primary = u < pi
+        res = linprog(-np.ones(N), -q.T, np.where(primary, np.inf, 0.0),
+                      0.0, 1.0, basis)
         if res.status != 0:
-            failures += 1
-        elif -res.fun > _OPEN_CONE:
+            failed.append(res.message)
+            continue
+        # edges[j] is u_(j), with u_(0) = -inf and u_(C+1) = +inf
+        edges, m = np.r_[-np.inf, np.sort(u), np.inf], int(primary.sum())
+        # re-read: another thread on this line may have tightened it
+        shut, open_, _ = brackets.get(idx, _UNKNOWN)
+        if -res.fun > _OPEN_CONE:
             feasible += 1
-            brackets[idx] = (shut, min(open_, m))
+            open_ = min(open_, edges[m])
         else:
-            brackets[idx] = (max(shut, m), open_)
-    return FeasibilityRecord(n=params.n, pi=params.pi, eps=params.eps, N=N,
-                             trials=trials, feasible_count=feasible,
-                             failures=failures, lps=lps)
+            shut = max(shut, edges[m + 1])
+        brackets[idx] = (shut, open_, res.basis)
+    return FeasibilityRecord(n=params.n, pi=pi, eps=params.eps, N=N,
+                             trials=trials, feasible_count=feasible, lps=lps,
+                             failure_statuses=tuple(failed))
 
 
 @dataclass(frozen=True)
@@ -617,9 +670,15 @@ class GeometryRecord:
     N: int
     C: int
     samples: int              # vertices in the clouds lambda_max averages over
-    lp_failures: int          # LPs with a nonzero status, so no vertex
     lambda_max: float
     collapsed: bool
+    failure_statuses: tuple[str, ...] = ()   # ``linprog`` message of each
+                                             # LP with a nonzero status,
+                                             # so no vertex
+
+    @property
+    def lp_failures(self) -> int:
+        return len(self.failure_statuses)
 
     @property
     def lambda_max_over_N(self) -> float:
@@ -652,13 +711,13 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     starts from the optimal basis of the draw's last optimal LP.
     Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
     An LP with a nonzero status adds no vertex and counts in
-    ``lp_failures``.  A draw whose vertices are all at the origin is
-    degenerate; if every draw is degenerate the probe reports NaN with the
+    ``lp_failures``, with its message in ``failure_statuses``.  A draw
+    whose vertices are all at the origin is degenerate; if every draw is degenerate the probe reports NaN with the
     collapsed flag set.
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
         raise DomainError("need at least two draws of each kind")
-    lams, samples, lp_failures = [], 0, 0
+    lams, samples, failed = [], 0, []
     for tech in range(n_tech_draws):
         seed = base_seed + 1000 * tech
         econ = sample_economy(params, C, seed)
@@ -678,13 +737,13 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
                 vertices.append(res.x)
                 basis = res.basis
             else:
-                lp_failures += 1
+                failed.append(res.message)
         verts = np.array(vertices)
         if len(verts) < 2 or np.all(np.abs(verts) < 1e-12):
             continue
         lams.append(_top_eigenvalue(verts))
         samples += len(verts)
     return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps, N=N, C=C,
-                          samples=samples, lp_failures=lp_failures,
+                          samples=samples,
                           lambda_max=float(np.mean(lams)) if lams else math.nan,
-                          collapsed=not lams)
+                          collapsed=not lams, failure_statuses=tuple(failed))

@@ -311,8 +311,8 @@ class TestFiniteCommands:
                        "--seed", "0", "--from", "0.3", "--to", "0.6",
                        "--points", "2", *extra)
         lines = [line for line in proc.stdout.splitlines()
-                 if line.startswith("# lp_failures")]
-        assert lines == ["# lp_failures = 0"]
+                 if line.startswith("# lp_failure")]
+        assert lines == ["# lp_failures = 0", "# lp_failure_statuses = none"]
 
     def test_lp_fraction_lp_failure_is_partial(self, monkeypatch, capsys):
         # a line (seed) no other test scans, so every trial solves its LP
@@ -322,7 +322,8 @@ class TestFiniteCommands:
             calls.append(1)
             res = original(*args)
             if len(calls) == 2:
-                res.status, res.basis = 4, None
+                res.status, res.basis = 1, None
+                res.message = "Time limit reached"
             return res
 
         monkeypatch.setattr(finite, "linprog", second_fails)
@@ -331,6 +332,7 @@ class TestFiniteCommands:
         out = capsys.readouterr().out
         assert len(calls) == 5
         assert "# lp_failures = 1" in out.splitlines()
+        assert "# lp_failure_statuses = Time limit reached: 1" in out.splitlines()
 
     def test_finite_failure_is_partial(self, monkeypatch, capsys):
         original = finite.solve_equilibrium
@@ -356,7 +358,7 @@ class TestFiniteCommands:
             calls.append(1)
             res = original(*args)
             if len(calls) == 2:
-                res.status, res.basis = 4, None
+                res.status, res.basis, res.message = 4, None, "Unknown"
             return res
 
         monkeypatch.setattr(finite, "linprog", second_fails)
@@ -365,6 +367,7 @@ class TestFiniteCommands:
                      "4", "--seed", "0"]) == 1
         out = capsys.readouterr().out
         assert "# lp_failures = 1" in out.splitlines()
+        assert "# lp_failure_statuses = Unknown: 1" in out.splitlines()
         assert data_rows(out)[1].split(",")[5] == "7"      # samples
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randecon.ensemble import (EconomyInstance, EnsembleParams,
+from randecon.ensemble import (EconomyInstance, EnsembleParams, economy_draws,
                                intermediate_sweep_map, sample_economy)
 from randecon.errors import DomainError
 
@@ -28,6 +28,27 @@ class TestEnsembleParams:
 
 
 class TestSampleEconomy:
+    @pytest.mark.parametrize("n, pi, f, eps, C, seed", [
+        (1.0, 0.5, 0.5, 0.1, 50, 0), (2.5, 0.3, 0.8, 0.01, 40, 3),
+        (0.5, 0.0, 1.0, 0.1, 20, 77), (3.0, 1.0, 0.0, 0.001, 33, 2**31 - 1),
+        (1.3, 0.65, 0.25, 0.1, 2, 9)])
+    def test_thresholds_the_draws(self, n, pi, f, eps, C, seed):
+        # lp_feasibility_fraction reads the draws without pi: sample_economy
+        # must be them thresholded at pi and f, bit for bit, and they must
+        # be q, then the endowment uniforms, then the preference uniforms
+        params = EnsembleParams(n=n, pi=pi, f=f, eps=eps)
+        econ = sample_economy(params, C, seed)
+        q, u, v = economy_draws(params, C, seed)
+        np.testing.assert_array_equal(econ.q, q)
+        np.testing.assert_array_equal(econ.x0, (u < pi).astype(float))
+        np.testing.assert_array_equal(econ.k, (v < f).astype(float))
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(0.0, 1.0 / np.sqrt(C), size=q.shape)
+        np.testing.assert_array_equal(
+            q, raw - (raw.sum(axis=1, keepdims=True) + eps) / C)
+        np.testing.assert_array_equal(u, rng.random(C))
+        np.testing.assert_array_equal(v, rng.random(C))
+
     def test_shapes_and_rounding(self):
         econ = sample_economy(EnsembleParams(n=2.5, pi=0.5, f=0.5, eps=0.1),
                               C=40, seed=3)

@@ -14,7 +14,8 @@ from scipy.optimize import linprog
 
 import randecon
 from randecon import finite
-from randecon.ensemble import EconomyInstance, EnsembleParams, sample_economy
+from randecon.ensemble import (EconomyInstance, EnsembleParams, economy_draws,
+                               sample_economy)
 from randecon.errors import DomainError, NoConvergenceError
 from randecon.finite import (ACTIVE_THRESHOLD, certify_equilibrium,
                              lp_feasibility_fraction, monte_carlo_observables,
@@ -233,11 +234,19 @@ class TestSolveEquilibrium:
             solve_equilibrium(sample_economy(PARAMS, C=33, seed=7))
 
 
+def cone_lp(q, primary):
+    """The cone LP of ``lp_feasibility_fraction``: a row for every good,
+    without bound (+inf) on a primary good's row."""
+    return (-np.ones(q.shape[0]), -q.T, np.where(primary, np.inf, 0.0),
+            0.0, 1.0)
+
+
 def lp_shapes(econ, rng):
-    """The three LPs of ``finite`` on one economy, each as
-    (c, a_ub, b_ub, lower, upper): a cone (no rows when every good is
-    primary), phase one with its free t column, and a PCA LP with its
-    cap row."""
+    """LPs of ``finite`` on one economy, each as (c, a_ub, b_ub, lower,
+    upper): the cone with only the non-primary rows (no rows when every
+    good is primary), the cone with all C rows that
+    ``lp_feasibility_fraction`` solves, phase one with its free t column,
+    and a PCA LP with its cap row."""
     non_primary = econ.x0 == 0
     cap = econ.x0.sum() / econ.eps + 1.0
     obj = np.abs(rng.standard_normal(econ.N))
@@ -245,6 +254,7 @@ def lp_shapes(econ, rng):
     return {
         "cone": (-np.ones(econ.N), -econ.q.T[non_primary],
                  np.zeros(int(non_primary.sum())), 0.0, 1.0),
+        "full_cone": cone_lp(econ.q, ~non_primary),
         "phase_one": (np.r_[np.zeros(econ.N), -1.0],
                       np.hstack([-econ.q.T, np.ones((econ.C, 1))]), econ.x0,
                       np.r_[np.zeros(econ.N), -np.inf],
@@ -256,9 +266,12 @@ def lp_shapes(econ, rng):
 
 
 def scipy_lp(c, a_ub, b_ub, lower, upper):
-    """The reference: the same LP through ``scipy.optimize.linprog``."""
+    """The reference: the same LP through ``scipy.optimize.linprog``,
+    which takes no +inf row bound, so those rows are left out."""
     bounds = np.column_stack([np.broadcast_to(lower, c.shape),
                               np.broadcast_to(upper, c.shape)])
+    bounded = np.isfinite(b_ub)
+    a_ub, b_ub = a_ub[bounded], b_ub[bounded]
     return linprog(c, A_ub=a_ub if a_ub.size else None,
                    b_ub=b_ub if a_ub.size else None, bounds=bounds,
                    method="highs-ds")
@@ -266,12 +279,17 @@ def scipy_lp(c, a_ub, b_ub, lower, upper):
 
 #: the decision each LP shape feeds: an open cone, an empty interior
 DECISIONS = {"cone": lambda res: -res.fun > finite._OPEN_CONE,
+             "full_cone": lambda res: -res.fun > finite._OPEN_CONE,
              "phase_one": lambda res: res.x[-1] <= 1e-7,
              "pca": lambda res: None}
 
 
 class TestLinprog:
-    """``finite.linprog`` against ``scipy.optimize.linprog``'s dual simplex."""
+    """``finite.linprog`` against ``scipy.optimize.linprog``'s dual simplex.
+
+    ``finite.linprog`` lets HiGHS choose: the primal simplex from a primal
+    feasible start basis (the slack basis of a cone or PCA LP, or the
+    optimal basis of an LP it relaxes), the dual simplex otherwise."""
 
     @settings(max_examples=30, deadline=None)
     @given(C=st.integers(10, 40), n=st.floats(0.5, 3.0),
@@ -331,6 +349,57 @@ class TestLinprog:
             warm = finite.linprog(c2, a_ub, b2, lower, upper, first.basis)
             assert warm.status == cold.status, shape
             assert warm.fun == pytest.approx(cold.fun, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(C=st.integers(10, 60), n=st.floats(0.5, 3.0),
+           pis=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+           eps=st.sampled_from((0.1, 0.01, 0.001)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_basis_of_smaller_pi_starts_the_relaxation(self, C, n, pis, eps,
+                                                       seed):
+        # the step of an ascending scan line: more primary goods free more
+        # rows, so the last optimal basis is still primal feasible; from
+        # it the cone LP gives the cold optimum and decision
+        q, u, _ = economy_draws(EnsembleParams(n=n, pi=0.5, f=0.5, eps=eps),
+                                C, seed)
+        smaller, larger = cone_lp(q, u < pis[0]), cone_lp(q, u < pis[1])
+        first = finite.linprog(*smaller)
+        assert first.status == 0
+        cold = finite.linprog(*larger)
+        warm = finite.linprog(*larger, first.basis)
+        assert warm.status == cold.status == 0
+        assert warm.fun == pytest.approx(cold.fun, rel=1e-9, abs=1e-12)
+        assert DECISIONS["cone"](warm) == DECISIONS["cone"](cold)
+        assert cold.fun <= first.fun + 1e-12      # a relaxation
+
+    def test_stalled_primal_simplex_falls_back_to_dual(self):
+        # HiGHS's primal simplex, started at the slack basis of this cone,
+        # stops on a degenerate vertex without an optimum
+        q, u, _ = economy_draws(EnsembleParams(n=2.0, pi=0.5, f=0.5, eps=0.1),
+                                30, 306)
+        lp = cone_lp(q, u < 0.7666666666666666)
+        got, want = finite.linprog(*lp), scipy_lp(*lp)
+        assert got.status == want.status == 0
+        assert got.fun == pytest.approx(want.fun, rel=1e-9, abs=1e-12)
+
+    def test_failed_solve_is_retried_by_dual_simplex(self, monkeypatch):
+        runs, original = [], finite._highs_solve
+
+        def first_fails(options, *lp):
+            runs.append((options, lp[-1]))
+            res = original(options, *lp)
+            if len(runs) == 1:
+                res.status, res.x, res.basis = 4, None, None
+            return res
+
+        econ = sample_economy(PARAMS, C=20, seed=5)
+        c, a_ub, b_ub, lower, upper = lp_shapes(
+            econ, np.random.default_rng(5))["pca"]
+        basis = finite.linprog(c, a_ub, b_ub, lower, upper).basis
+        monkeypatch.setattr(finite, "_highs_solve", first_fails)
+        got = finite.linprog(c, a_ub, b_ub, lower, upper, basis)
+        assert got.status == 0
+        assert runs == [(finite._LP_OPTIONS, basis), (finite._DUAL_OPTIONS, None)]
 
     def test_unusable_basis_raises(self):
         econ = sample_economy(PARAMS, C=20, seed=5)
@@ -647,12 +716,52 @@ class TestFeasibilityFraction:
         rec = lp_feasibility_fraction(params, C=40, trials=10, base_seed=520)
         assert len(counted_lps) == rec.lps > 0
 
-    def test_repeat_at_one_point_solves_nothing(self):
+    def test_repeat_at_one_point_solves_nothing(self, counted_lps,
+                                                monkeypatch):
+        # a trial is drawn only to solve its LP: a repeat at one point
+        # draws and solves nothing, and a point the brackets settle draws
+        # nothing either
+        draws, original = [], finite.economy_draws
+
+        def counting_draws(*args):
+            draws.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(finite, "economy_draws", counting_draws)
         params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
         first = lp_feasibility_fraction(params, C=40, trials=10, base_seed=510)
         again = lp_feasibility_fraction(params, C=40, trials=10, base_seed=510)
         assert first.lps == 10 and again.lps == 0
         assert again.feasible_count == first.feasible_count
+        assert len(draws) == len(counted_lps) == 10
+        for pi in (0.0, 1.0, 0.4, 0.2, 0.6):
+            lp_feasibility_fraction(params.with_(pi=pi), 40, 10, 510)
+        assert len(draws) == len(counted_lps)
+
+    def test_serial_scan_solves_the_lps_it_did_before(self, monkeypatch):
+        # up a grid, then down its midpoints on a line no other test
+        # scans; the per-call LP counts are those of the bracket on
+        # primary counts that the pi bracket replaced, measured with it
+        params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
+        up = np.linspace(0.02, 0.80, 14)
+        pis = np.r_[up, (up[1:] + up[:-1])[::-1] / 2]
+        warm, original = [], finite.linprog
+
+        def recording(*args):
+            warm.append(args[5] is not None)
+            return original(*args)
+
+        monkeypatch.setattr(finite, "linprog", recording)
+        recs = [lp_feasibility_fraction(params.with_(pi=float(pi)), 40, 12, 8100)
+                for pi in pis]
+        assert [r.lps for r in recs] == [12, 12, 10, 9, 10, 9, 8, 5, 4, 1, 1,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 2,
+                                         0, 0, 1, 0]
+        assert [r.feasible_count for r in recs] == [
+            0, 0, 1, 1, 2, 4, 6, 8, 11, 11, 12, 12, 12, 12, 12, 12, 12, 11,
+            11, 9, 6, 6, 2, 1, 1, 1, 0]
+        # every LP after a trial's first starts from its last optimal basis
+        assert warm.count(False) == 12 and len(warm) == sum(r.lps for r in recs)
 
     def test_repeated_scan_starts_cold(self):
         # only the most recent line is remembered: B, A, B, A pays for
@@ -683,6 +792,20 @@ class TestFeasibilityFraction:
             assert all(r.lps <= r.trials for r in recs)
             assert ([replace(r, lps=0) for r in recs]
                     == [replace(r, lps=0) for r in serial[line]])
+
+    def test_failure_statuses_are_recorded(self, monkeypatch):
+        original = finite.linprog
+
+        def time_limit(*args):
+            res = original(*args)
+            res.status, res.basis, res.message = 1, None, "Time limit reached"
+            return res
+
+        monkeypatch.setattr(finite, "linprog", time_limit)
+        params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
+        rec = lp_feasibility_fraction(params, C=40, trials=3, base_seed=9540)
+        assert rec.failure_statuses == ("Time limit reached",) * 3
+        assert (rec.failures, rec.lps, rec.feasible_count) == (3, 3, 0)
 
     def test_failed_lps_are_counted_and_not_remembered(self, monkeypatch):
         # a line no other test scans, so the first call solves every trial
@@ -820,7 +943,7 @@ class TestPcaProbe:
             calls.append(1)
             res = original(*args)
             if len(calls) % 3 == 0:
-                res.status, res.basis = 4, None
+                res.status, res.basis, res.message = 4, None, "Unknown"
             return res
 
         monkeypatch.setattr(finite, "linprog", third_fails)
@@ -828,6 +951,7 @@ class TestPcaProbe:
                         base_seed=0)
         assert len(calls) == 12
         assert (rec.lp_failures, rec.samples) == (4, 8)
+        assert rec.failure_statuses == ("Unknown",) * 4
         assert not rec.collapsed
 
     def test_closed_cone_is_collapsed(self):
