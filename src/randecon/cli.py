@@ -133,8 +133,12 @@ def _solution_rows(solutions, observables):
 
 def _emit_solutions(args, command, solutions, observables, unread=()):
     rows = _solution_rows(solutions, observables)
-    _emit(args.output, _meta(args, command, unread),
-          SOLUTION_COLUMNS + observables, rows, args.format)
+    # the step that settled each label, with its count, in order of first
+    # appearance (SaddleSolution.path)
+    paths = Counter(sol.path for sol in solutions)
+    meta = dict(_meta(args, command, unread),
+                paths="; ".join(f"{p}: {n}" for p, n in paths.items()))
+    _emit(args.output, meta, SOLUTION_COLUMNS + observables, rows, args.format)
     failed = any(sol.branch == "failed" for sol in solutions)
     return _EXIT_PARTIAL if failed else _EXIT_OK
 

@@ -92,6 +92,10 @@ _STEP_FRACTION = 0.99
 #: only when its interior is thin, and then the loop goes on
 _STALL_ITER = 10
 _STALL_LEFT = 1e-5
+#: cycle guard: from iteration 2 * _STALL_ITER on, the floor of the
+#: corrector's centring target, as a fraction of mu, when the largest
+#: complementarity product has not fallen since the last iteration
+_CYCLE_CENTRING = 0.3
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,10 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     q (1/w_final, p) + z below 1e-7 and x0 + q^T s - w below 1e-12, each
     in the infinity norm.  The largest product, not the mean, is tested
     because a degenerate good (w_c and p_c both tending to 0) lags behind
-    the mean and would keep a price far above zero.
+    the mean and would keep a price far above zero.  From iteration 20 on,
+    an iteration whose largest product has not fallen since the last one
+    centres its corrector on at least 0.3 mu (_CYCLE_CENTRING), which
+    breaks the cycle of two states that Mehrotra's heuristic can fall into.
 
     A feasible set with empty interior leaves the loop unable to remove
     its residual.  When more than 1e-5 of it is left after 10 iterations,
@@ -360,6 +367,7 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
     newton_steps = 0
     left = 1.0                    # share of the starting residual still left
     failure = None
+    last_gap = math.inf
     for it in range(_MAX_ITER):
         x = econ.x0 + s @ q
         w_nf = w[i_nf]
@@ -417,6 +425,11 @@ def solve_equilibrium(econ: EconomyInstance) -> EquilibriumSolution:
         # rule, where the Hessian stops being positive definite
         target = max(min(1.0, mu_aff / mu) ** 3 * mu,
                      0.1 * _COMPLEMENTARITY_TOL)
+        # late and not falling: held nearer the central path, which
+        # breaks a cycle of two states
+        if it >= 2 * _STALL_ITER and gap >= last_gap:
+            target = max(target, _CYCLE_CENTRING * mu)
+        last_gap = gap
         direction(sz + ds * dz - target, wp + dw[i_nf] * dp - target)
         alpha = _STEP_FRACTION * _max_step(v, dv)
         v += alpha * dv                         # moves s, z, w and p

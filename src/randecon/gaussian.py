@@ -62,11 +62,13 @@ def gauss_moment_I(order, x):
     return half_moments(x)[int(order)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for the expectation ⟨f(t)⟩ over a standard Gaussian.
 
-    Weights sum to 1 (within 1e-12) so that ⟨f⟩ ≈ Σ w_i f(t_i).
+    Weights sum to 1 (within 1e-12) so that ⟨f⟩ ≈ Σ w_i f(t_i).  A rule
+    compares and hashes by identity (its array fields have no hash), so it
+    can key a cache.
     """
 
     nodes: np.ndarray

@@ -17,6 +17,16 @@ alone forms g on its nodes, free of cancellation on each side of a = 0.
 Every residual below takes its M averages and scale-law moments from one
 pass of _moments, with a single half_moments call on the shifts of both.
 
+The final-good quadrature, half of a residual's cost, reads only (kappa,
+n Omega, chi) and the rule, so _final_moments memoises its moments for
+the last 16 such points.  Three of the six forward-difference columns of
+each Jacobian step ell, gamma or delta (a fourth, pi, in the bordered
+solves) and find them there.  The memo is exact: a hit returns the
+read-only array the miss computed, and _moments weighs it by the
+endowment classes as before, so every residual keeps its bits.  The rule
+is in the key, by identity, because a rule swapped into _RULE must never
+be served another rule's moments.
+
 Both branches are solved as one regular system in
 (Omega, kappa, ell, gamma, delta, chi) with ell = p chi, gamma = sigma chi
 and delta = chi_hat chi (see regular_residual).  chi enters it only
@@ -43,6 +53,7 @@ into the original variables, rescaled_residual its chi = 0 rows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -86,6 +97,10 @@ class SaddleSolution:
     op: Optional[OrderParams]  # None unless the branch is "industrial"
     residual_norm: float
     iterations: int
+    #: which path settled the label: "warm", "cold 0", "cold 1" (the
+    #: start that found the root), "anchor" (continued from _ANCHOR),
+    #: "pi_c" (collapsed by the analytic boundary) or "failed"
+    path: str
 
 
 def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
@@ -93,8 +108,9 @@ def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
     return half_moments((kappa - x0) / np.sqrt(n_omega))[0]
 
 
-def final_good_field(kappa: float, n_omega: float, chi: float):
-    """(rule, a, g): the final-good field on the nodes t of the rule.
+def final_good_field(kappa: float, n_omega: float, chi: float, rule=None):
+    """(rule, a, g): the final-good field on the nodes t of the rule
+    (_RULE when None).
 
     a = x0 - kappa - sqrt(n Omega) t, one row per endowment class
     x0 in {0, 1}, and g = chi u'(x*) = x* - a for log utility.  With
@@ -104,10 +120,30 @@ def final_good_field(kappa: float, n_omega: float, chi: float):
     For chi < 0 the radicand is cut at zero, which keeps the field finite
     for a solver that steps across chi = 0.
     """
-    rule = _RULE
+    rule = _RULE if rule is None else rule
     a = np.array([[0.0 - kappa], [1.0 - kappa]]) - np.sqrt(n_omega) * rule.nodes
     root = np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
     return rule, a, np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
+
+
+@functools.lru_cache(maxsize=16)
+def _final_moments(kappa, n_omega, chi, rule):
+    """The final-good moments [<g>, <g t>, <g^2>] on rule, one column per
+    endowment class x0 in {0, 1}: a read-only 3x2 array, memoised.
+
+    They read only (kappa, n Omega, chi) and the rule, so the difference
+    columns of a Jacobian that step ell, gamma or delta (and pi, in the
+    bordered solves) find them here.  The rule is keyed by identity and
+    held by the cache, so its id is never reused while the entry lives.
+    Keys that compare equal give the same moments: +-0.0 in kappa or
+    n Omega give the same field, chi = 0 never gets here (_moments takes
+    the closed form), and a NaN is unequal to every other key.
+    """
+    _, _, g = final_good_field(kappa, n_omega, chi, rule)
+    t, wt = rule.nodes, rule.weights
+    out = np.array([g @ wt, g @ (wt * t), (g * g) @ wt])
+    out.flags.writeable = False
+    return out
 
 
 def _moments(omega, kappa, chi, scale, n, pi, f, eps):
@@ -132,9 +168,7 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
     m = (np.array([[w * i1[0], w * i1[1]], [w * i0[0], w * i0[1]],
                    [n_omega * i2[0], n_omega * i2[1]]]) @ weights).tolist()
     if f != 0 and chi != 0.0:
-        rule, _, g = final_good_field(kappa, n_omega, chi)
-        t, wt = rule.nodes, rule.weights
-        final = np.array([g @ wt, g @ (wt * t), (g * g) @ wt]) @ weights
+        final = _final_moments(kappa, n_omega, chi, _RULE) @ weights
         m = [f * x + (1.0 - f) * y for x, y in zip(final.tolist(), m)]
     r = sigma / chi_hat
     return (*m, i0[2], r * i1[2], r * r * i2[2])
@@ -363,9 +397,11 @@ def solve_saddle(params: EnsembleParams,
     Failing that, the analytic boundary pi_c(n, eps)
     (critical.solve_critical_pi) decides: pi <= pi_c is "collapsed", with
     no order parameters (op None) and residual 0; above it the root at
-    (n, pi) = (2, 0.65) is continued to the requested point.  When pi_c does not exist (NoRootError), only the
-    industrial search runs.  Each root solve may spend _BUDGET residual
-    evaluations; ``iterations`` counts the evaluations of all of them.
+    (n, pi) = (2, 0.65) is continued to the requested point.  When pi_c
+    does not exist (NoRootError), only the industrial search runs.
+    ``path`` names the step that settled the label.  Each root solve may
+    spend _BUDGET residual evaluations; ``iterations`` counts the
+    evaluations of all of them.
 
     Raises NoConvergenceError when neither label is established: a point
     is never called collapsed for want of a root.
@@ -373,23 +409,26 @@ def solve_saddle(params: EnsembleParams,
     search = _Search(params)
     n, pi = params.n, params.pi
     starts = search.starts()
-    warm = [] if init is None else [search.to_z(_regular_coords(init))]
-    for z0 in warm + starts:
+    tried = [] if init is None else [("warm", search.to_z(_regular_coords(init)))]
+    for path, z0 in tried + [(f"cold {i}", z0) for i, z0 in enumerate(starts)]:
         found = search.industrial(z0, n, pi)
         if found is not None:
-            return SaddleSolution(params, "industrial", *found[1:], search.evals)
+            return SaddleSolution(params, "industrial", *found[1:], search.evals,
+                                  path)
     try:
         pi_c = critical.solve_critical_pi(n, params.eps).pi_c
     except NoRootError:
         pi_c = None
     if pi_c is not None and pi <= pi_c:
-        return SaddleSolution(params, "collapsed", None, 0.0, search.evals)
+        return SaddleSolution(params, "collapsed", None, 0.0, search.evals,
+                              "pi_c")
     for z0 in starts:
         anchor = search.industrial(z0, *_ANCHOR)
         if anchor is not None:
             found = search.along(anchor[0], _ANCHOR, (n, pi))
             if found is not None:
-                return SaddleSolution(params, "industrial", *found[1:], search.evals)
+                return SaddleSolution(params, "industrial", *found[1:],
+                                      search.evals, "anchor")
             break
     raise NoConvergenceError(
         f"no root at {params} after {search.evals} residual evaluations"
@@ -432,7 +471,7 @@ def sweep(params_grid: Sequence[EnsembleParams]):
             sol = solve_saddle(params, init=warm)
         except NoConvergenceError as exc:
             out.append(SaddleSolution(params, "failed", None, np.inf,
-                                      exc.evaluations))
+                                      exc.evaluations, "failed"))
             warm = None
             continue
         out.append(sol)

@@ -127,6 +127,8 @@ class TestSweep:
                        "--eps", "0.1")
         rows = data_rows(proc.stdout)
         assert len(rows) == 4  # header + 3 points
+        # the step that settled each row, counted
+        assert "# paths = cold 0: 1; warm: 2\n" in proc.stdout
 
     def test_intermediate_sweep(self):
         proc = run_cli("sweep", "--var", "i", "--from", "0.1", "--to", "0.3",
@@ -173,7 +175,8 @@ class TestSweep:
     def test_failed_row_is_nan_throughout(self):
         sol = SaddleSolution(params=EnsembleParams(2.0, 0.65, 0.5, 0.1),
                              branch="failed", op=None,
-                             residual_norm=np.inf, iterations=0)
+                             residual_norm=np.inf, iterations=0,
+                             path="failed")
         row, = _solution_rows([sol], ("phi", "utility"))
         assert row[4] == "failed"
         assert all(np.isnan(v) for v in row[5:11])

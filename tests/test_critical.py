@@ -177,6 +177,31 @@ class TestEpsOne:
             solve_critical_pi(1.0, 0.1)
 
 
+class TestHiddenMaximum:
+    """At isolated n the well's maximum and the next minimum of G/A fall
+    within one step of the coarse xi grid, which then shows no maximum;
+    the fine scan finds it."""
+
+    @pytest.mark.parametrize("n, eps", [(5.6234, 0.999), (5.6234, 1.0),
+                                        (5.6234, 1.001), (7.0795, 0.9)])
+    def test_found_and_stationary(self, n, eps):
+        pt = solve_critical_pi(n, eps)
+        assert abs(bracket_B(pt.xi, pt.pi_c, n, eps)) <= 1e-12
+        assert abs(bracket_B_grad(pt.xi, pt.pi_c, n, eps)) <= 1e-5
+        # pi_c falls with n: between its values a step either side
+        left, right = (solve_critical_pi(n * r, eps).pi_c for r in (0.99, 1.01))
+        assert left > pt.pi_c > right
+
+    def test_coarse_grid_shows_no_maximum(self, monkeypatch):
+        monkeypatch.setattr(critical, "_SCANS", critical._SCANS[:1])
+        with pytest.raises(NoRootError, match="no interior local maximum"):
+            solve_critical_pi(5.6234, 1.0)
+
+    def test_no_well_is_still_no_root(self):
+        with pytest.raises(NoRootError, match="no interior local maximum"):
+            solve_critical_pi(1.0, 2.0)
+
+
 class TestCriticalLineSweep:
     def test_single_point(self):
         pts = critical_line_sweep([1.0], 0.1)

@@ -142,7 +142,7 @@ class TestUtility:
         op = OrderParams(Omega=0.2, kappa=0.3, p=1.1, sigma=0.8, chi=chi,
                          chi_hat=1.4)
         return SaddleSolution(params=PARAMS, branch="industrial", op=op,
-                              residual_norm=0.0, iterations=0)
+                              residual_norm=0.0, iterations=0, path="cold 0")
 
     def test_tiny_chi_matches_per_node_oracle(self):
         # chi = 1e-20: a^2 + 4 chi rounds to a^2 where a < 0, so x* there is
@@ -173,7 +173,7 @@ class TestUtility:
 
 def collapsed(params):
     return SaddleSolution(params=params, branch="collapsed", op=None,
-                          residual_norm=0.0, iterations=0)
+                          residual_norm=0.0, iterations=0, path="pi_c")
 
 
 class TestCollapsedBranch:
@@ -203,7 +203,8 @@ class TestFailedBranch:
         # a sweep records a point whose solve fails as branch "failed",
         # with no order parameters to take observables of
         failed = SaddleSolution(params=PARAMS, branch="failed", op=None,
-                                residual_norm=np.inf, iterations=0)
+                                residual_norm=np.inf, iterations=0,
+                                path="failed")
         with pytest.raises(DomainError, match="'failed'"):
             observable_set(failed)
 

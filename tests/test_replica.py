@@ -331,6 +331,104 @@ class TestPhaseLabels:
         assert abs(switch - solve_critical_pi(n, 0.01).pi_c) < 1e-5
 
 
+    # which step settled each label (SaddleSolution.path)
+    def test_path_warm(self):
+        line = sweep([EnsembleParams(n=n, pi=0.65, f=0.5, eps=0.1)
+                      for n in (2.0, 2.1)])
+        assert [sol.path for sol in line] == ["cold 0", "warm"]
+
+    def test_path_cold(self):
+        sol = solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
+        assert (sol.branch, sol.path) == ("industrial", "cold 0")
+
+    def test_path_collapsed(self):
+        sol = solve_saddle(EnsembleParams(n=0.75, pi=0.2, f=0.5, eps=0.1))
+        assert (sol.branch, sol.path) == ("collapsed", "pi_c")
+
+    def test_path_anchor(self):
+        sol = solve_saddle(EnsembleParams(n=0.75, pi=0.5, f=0.5, eps=0.1))
+        assert (sol.branch, sol.path) == ("industrial", "anchor")
+
+    def test_path_failed(self, monkeypatch):
+        monkeypatch.setattr(replica, "_BUDGET", 2)
+        sol, = sweep([EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1)])
+        assert (sol.branch, sol.path) == ("failed", "failed")
+
+
+class TestFinalMomentsMemo:
+    """replica._final_moments memoises the final-good quadrature, which
+    reads only (kappa, n Omega, chi) and the rule; every answer keeps its
+    bits."""
+
+    @staticmethod
+    def bits(sol):
+        op = None if sol.op is None else sol.op.as_array().tobytes()
+        return op, float(sol.residual_norm).hex(), sol.iterations, sol.path
+
+    def answers(self, f):
+        def at(n, pi, init=None):
+            return solve_saddle(EnsembleParams(n=n, pi=pi, f=f, eps=0.1), init)
+
+        cold, collapsed, anchor = at(2.0, 0.65), at(0.75, 0.2), at(0.9, 0.45)
+        assert (cold.path, collapsed.path, anchor.path) == (
+            "cold 0", "pi_c", "anchor")
+        warm = at(2.1, 0.65, init=cold.op)
+        line = sweep([EnsembleParams(n=n, pi=0.65, f=f, eps=0.1)
+                      for n in (1.6, 1.8, 2.0, 2.2)])
+        return ([self.bits(sol) for sol in (cold, warm, collapsed, anchor, *line)],
+                branch_switch_pi(2.0, 0.1, f=f).hex())
+
+    @pytest.mark.parametrize("f", [0.25, 1.0])
+    def test_bypassed_memo_gives_the_same_bits(self, f, monkeypatch):
+        memoised = self.answers(f)
+        monkeypatch.setattr(replica, "_final_moments",
+                            replica._final_moments.__wrapped__)
+        assert self.answers(f) == memoised
+
+    def test_swapped_rule_never_gets_the_other_rules_moments(self, monkeypatch):
+        u = np.array([0.4, 0.5, 0.3, 0.2, 0.25, 0.6])
+        bypass = replica._final_moments.__wrapped__
+        rules = (replica._RULE, gauss_hermite_rule(240))
+        got = []
+        for rule in rules + rules:
+            monkeypatch.setattr(replica, "_RULE", rule)
+            r = regular_residual(u, PARAMS)
+            with monkeypatch.context() as m:
+                m.setattr(replica, "_final_moments", bypass)
+                assert r.tobytes() == regular_residual(u, PARAMS).tobytes()
+            got.append(r.tobytes())
+        assert got[0] != got[1]
+
+    def test_keys_that_compare_equal_give_the_same_moments(self):
+        # +0.0 == -0.0 as keys; the field is the same at both
+        bypass, rule = replica._final_moments.__wrapped__, replica._RULE
+        for plus, minus in [((0.0, 0.6), (-0.0, 0.6)), ((0.3, 0.0), (0.3, -0.0))]:
+            assert (bypass(*plus, 0.2, rule).tobytes()
+                    == bypass(*minus, 0.2, rule).tobytes())
+
+    def test_nan_never_hits(self):
+        replica._final_moments.cache_clear()
+        for _ in range(2):
+            replica._final_moments(float("nan"), 0.6, 0.2, replica._RULE)
+        assert replica._final_moments.cache_info().hits == 0
+
+    def test_moments_are_read_only(self):
+        moments = replica._final_moments(0.3, 0.6, 0.2, replica._RULE)
+        with pytest.raises(ValueError):
+            moments[0, 0] = 1.0
+
+    def test_cold_solve_skips_a_quarter_of_the_quadratures(self, monkeypatch):
+        # the difference columns in ell, gamma and delta reuse the moments
+        # of the point they step from
+        field, calls = replica.final_good_field, []
+        monkeypatch.setattr(replica, "final_good_field",
+                            lambda *a: calls.append(a) or field(*a))
+        replica._final_moments.cache_clear()
+        sol = solve_saddle(EnsembleParams(n=2.0, pi=0.65, f=0.5, eps=0.1))
+        assert sol.branch == "industrial"
+        assert len(calls) <= 0.75 * sol.iterations
+
+
 class TestBudget:
     def test_exhausted_budget_raises(self, monkeypatch):
         monkeypatch.setattr(replica, "_BUDGET", 5)
