@@ -12,23 +12,20 @@ validate       quick self-check suite; nonzero exit on any failure
 
 Outputs are CSV with a '#'-prefixed metadata header (or JSON via
 ``--format json``).  Reruns with identical configuration and seeds are
-byte-identical apart from the timestamp and wall-time lines and
-lp-fraction's count of solved LPs (``lps``).  ``--config FILE`` reads
-``key = value`` lines; each is parsed, after the command line, as the
-subcommand's flag with that destination (``start`` for ``--from``,
-``tech_draws`` or ``tech-draws`` for ``--tech-draws``), so file entries
-win over flags.
+byte-identical apart from the timestamp and wall-time lines.  ``--config
+FILE`` reads ``key = value`` lines; each is parsed, after the command
+line, as the subcommand's flag with that destination (``start`` for
+``--from``, ``tech_draws`` or ``tech-draws`` for ``--tech-draws``), so
+file entries win over flags.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -38,8 +35,8 @@ from . import __version__
 from .ensemble import EnsembleParams, intermediate_sweep_map
 from .errors import RandeconError
 from .critical import critical_line_sweep
-from .finite import (lp_feasibility_fraction, monte_carlo_observables,
-                     pca_probe)
+from .finite import (lp_feasibility_fraction, lp_threads,
+                     monte_carlo_observables, pca_probe)
 from .observables import observable_set
 from .replica import solve_saddle, sweep
 
@@ -212,14 +209,14 @@ def _cmd_finite(args):
 
 
 def _run_pi_grid(args, one_point):
-    """Shared pi-grid driver for lp-fraction and pca-probe: one thread per
-    grid point up to the CPU count (HiGHS releases the GIL).  Returns the
-    records and the settings left unread: pi, if there is a grid."""
+    """Shared pi-grid driver for lp-fraction and pca-probe: the points in
+    ascending pi, one after the other (each call shares its own LPs out
+    over the CPUs), the records in grid order.  Returns the records and
+    the settings left unread: pi, if there is a grid."""
     gridded = args.points > 1 or args.start is not None or args.stop is not None
     pis = _grid(args) if gridded else [args.pi]
-    workers = min(len(pis), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_point, pis)), ("pi",) if gridded else ()
+    recs = {pi: one_point(pi) for pi in sorted(pis)}
+    return [recs[pi] for pi in pis], ("pi",) if gridded else ()
 
 
 def _statuses(recs):
@@ -240,9 +237,8 @@ def _cmd_lp_fraction(args):
     failures = sum(r.failures for r in recs)
     # LPs solved over the grid, each from its trial's last optimal basis;
     # the other trials were settled by the pi brackets that the scan line
-    # keeps per trial, which the threads share, so the count varies with
-    # their interleaving
-    meta = dict(_meta(args, "lp-fraction", unread),
+    # keeps per trial
+    meta = dict(_meta(args, "lp-fraction", unread), lp_threads=lp_threads(),
                 lps=sum(r.lps for r in recs), lp_failures=failures,
                 lp_failure_statuses=_statuses(recs))
     _emit(args.output, meta, cols, rows, args.format)
@@ -259,7 +255,8 @@ def _cmd_pca_probe(args):
     rows = [(r.n, r.pi, r.eps, r.N, r.C, r.samples, r.lambda_max,
              r.lambda_max_over_N, r.collapsed) for r in recs]
     lp_failures = sum(r.lp_failures for r in recs)
-    meta = dict(_meta(args, "pca-probe", unread), lp_failures=lp_failures,
+    meta = dict(_meta(args, "pca-probe", unread), lp_threads=lp_threads(),
+                lp_failures=lp_failures,
                 lp_failure_statuses=_statuses(recs))
     _emit(args.output, meta, cols, rows, args.format)
     failed = lp_failures or any(r.collapsed for r in recs)

@@ -38,10 +38,12 @@ _RIPPLE = 1e-6
 #: points of the xi grid scanned for the maximum: a step of 0.01 and, only
 #: where that finds none, 1e-4.  At isolated n the well's maximum and the
 #: next minimum fall within one step of 0.01 (0.0022 apart at n = 5.62,
-#: eps = 1), and the coarse grid sees G/A rise straight through them.  The
-#: fine scan costs about 30 ms and 20 MB, and with no well at all (eps 2
-#: and 3) it finds none either
+#: eps = 1), and the coarse grid sees G/A rise straight through them.  With
+#: no well at all (eps 2 and 3) the fine scan finds none either
 _SCANS = (2001, 200001)
+#: grid points evaluated at once, so that the fine scan holds a hundredth
+#: of its grid in memory
+_BLOCK = 2001
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,38 @@ def _ratio(xi, n, eps):
     return np.where(ok, g / (1.0 + (xi / eps) ** 2), np.nan)
 
 
-def _first_maximum(vals):
-    """Index of the leftmost discrete local maximum of vals that stands
-    above the lowest value to its left (NaN skipped) by more than _RIPPLE
-    of itself, or None."""
-    idx = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-    low = np.fmin.accumulate(vals)
-    tall = vals[idx] - low[idx - 1] > _RIPPLE * np.abs(vals[idx])
-    return int(idx[tall][0]) if tall.any() else None
+def _grid_block(points, lo, hi):
+    """Points lo..hi-1 of np.linspace(-_XI_WINDOW, _XI_WINDOW, points), to
+    the bit: i * step - _XI_WINDOW, and the last point _XI_WINDOW."""
+    xi = np.arange(lo, hi, dtype=float) * (2.0 * _XI_WINDOW / (points - 1))
+    xi -= _XI_WINDOW
+    if hi == points:
+        xi[-1] = _XI_WINDOW
+    return xi
+
+
+def _first_maximum(points, n, eps):
+    """The leftmost discrete local maximum of G/A on the xi grid of
+    ``points`` points that stands above the lowest value to its left (NaN
+    skipped) by more than _RIPPLE of itself, as the grid points (left,
+    maximum, right), or None.  The grid is evaluated in blocks of _BLOCK
+    points; each block also holds the last two points of the one before,
+    so every interior point is tested once with both neighbours, and the
+    lowest value left of the block is carried over."""
+    xi, vals, low = np.empty(0), np.empty(0), np.nan
+    for lo in range(0, points, _BLOCK):
+        block = _grid_block(points, lo, min(lo + _BLOCK, points))
+        xi, vals = np.r_[xi[-2:], block], np.r_[vals[-2:], _ratio(block, n, eps)]
+        # lows[j]: the lowest value left of vals[j]
+        lows = np.fmin.accumulate(np.r_[low, vals[:-1]])
+        idx = np.flatnonzero((vals[1:-1] > vals[:-2])
+                             & (vals[1:-1] >= vals[2:])) + 1
+        tall = vals[idx] - lows[idx] > _RIPPLE * np.abs(vals[idx])
+        if tall.any():
+            best = int(idx[tall][0])
+            return xi[best - 1:best + 2]
+        low = lows[-2]
+    return None
 
 
 def bracket_B(xi: float, pi: float, n: float, eps: float) -> float:
@@ -99,21 +125,18 @@ def solve_critical_pi(n: float, eps: float) -> CriticalPoint:
     if n <= 0 or eps <= 0:
         raise DomainError("n and eps must be positive")
     for points in _SCANS:
-        grid = np.linspace(-_XI_WINDOW, _XI_WINDOW, points)
-        vals = _ratio(grid, n, eps)
-        best = _first_maximum(vals)
-        if best is not None:
+        bracket = _first_maximum(points, n, eps)
+        if bracket is not None:
             break
     else:
         raise NoRootError("no interior local maximum of G/A in the xi window")
     try:
         res = optimize.minimize_scalar(
-            lambda x: -float(_ratio(x, n, eps)),
-            bracket=(grid[best - 1], grid[best], grid[best + 1]),
+            lambda x: -float(_ratio(x, n, eps)), bracket=tuple(bracket),
             method="brent", options={"xtol": 1e-12})
     except ValueError as exc:   # a tie with the right neighbour: no bracket
         raise NoRootError(f"no bracket of the maximum of G/A at "
-                          f"xi = {grid[best]}: {exc}") from exc
+                          f"xi = {bracket[1]}: {exc}") from exc
     pi_c = 1.0 - 1.0 / -float(res.fun)
     if pi_c < 0:
         raise NoRootError(f"volume never vanishes at n={n}: B > 0 even at pi=0")

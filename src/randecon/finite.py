@@ -56,11 +56,30 @@ optimum counts only when it also passes the bound and row check of
 ``scipy.optimize.linprog``, whose Python layer (option validation, a
 sparse copy of the matrix, a loop over the basis) would cost about a
 third of each LP.
+
+The LPs of one call that do not depend on each other, those of the
+unsettled trials of ``lp_feasibility_fraction`` and the chains of the
+technology draws of ``pca_probe``, are shared out between the calling
+thread and a process-wide pool of ``os.cpu_count() - 1`` helper threads
+(``lp_threads`` counts both).  HiGHS releases the GIL while it solves,
+so they run on every CPU.  Each LP reads and writes only its own trial's
+bracket, and the results are combined in input order, so a call returns
+the same record to the bit at any thread count.  The threads cost
+memory: each helper gets its own malloc arena, which holds HiGHS's
+working memory.  So the pool is created on first use and kept for the
+life of the process, and after each shared-out call glibc's
+``malloc_trim`` hands the arenas' free pages back, which the arenas
+would otherwise keep (about 2.7 MB at N = C = 100).  On the ``lp-scan``
+benchmark at 2 CPUs the peak RSS is then 2.7 % above the serial loop's,
+against 4.1 % without the trim.  A call that needs fewer than two LPs,
+and the phase-one LP of ``solve_equilibrium``, runs on the calling
+thread alone.
 """
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +251,75 @@ def _highs_solve(options, c, a_ub, b_ub, lower, upper,
     return OptimizeResult(x=x, fun=fun, status=0 if valid else 4,
                           basis=solver.getBasis() if valid else None,
                           message=message)
+
+
+def lp_threads() -> int:
+    """Threads that share the independent LPs of one ``pca_probe`` or
+    ``lp_feasibility_fraction`` call: the calling thread and one helper
+    per further CPU."""
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _helper_pool():
+    """The process-wide pool of ``lp_threads() - 1`` helper threads,
+    created on first use and never re-created: a thread started per call
+    would build its malloc arena again on every call."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(lp_threads() - 1, thread_name_prefix="randecon-lp")
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, which hands the free pages of every malloc
+    arena back to the system, or a no-op where the C library has none."""
+    import ctypes
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+
+
+def _map(fn, items: list) -> list:
+    """[fn(item) for item in items], shared out between the calling thread
+    and the helper pool; HiGHS releases the GIL while it solves.
+
+    All threads take the next item from one iterator, and the results
+    come back in input order.  An exception stops every thread from taking
+    another item, and the one of the earliest item that raised is raised,
+    as the serial loop would.  The caller works through the items itself
+    and cancels the helpers that never started, so a busy pool, or one
+    whose threads did not survive a fork, slows it down but never hangs
+    it.  Fewer than two items never touch the pool.
+    """
+    helpers = min(lp_threads(), len(items)) - 1 if len(items) > 1 else 0
+    if helpers < 1:
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), {}
+    todo = enumerate(items)     # next() on it is atomic under the GIL
+
+    def work():
+        for i, item in todo:
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:    # handed to the caller
+                errors[i] = exc
+                for _ in todo:              # no thread takes another item
+                    pass
+
+    pool = _helper_pool()
+    futures = [pool.submit(work) for _ in range(helpers)]
+    work()
+    for future in futures:
+        if not future.cancel():
+            future.result()     # a helper on its last item
+    # the helpers' arenas would keep the pages of HiGHS's working memory
+    # (about 2.7 MB at N = C = 100) for the life of the process; 15 us
+    # when there is nothing to hand back
+    _malloc_trim()(0)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _empty_interior(econ: EconomyInstance) -> bool:
@@ -634,17 +722,21 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     trials, and every answer is an LP's or follows from one by
     monotonicity.  On an ascending scan each LP of a trial relaxes the one
     before, so the old optimal basis is primal feasible and HiGHS's primal
-    simplex goes on from there.  A call on another line starts that line's brackets
-    afresh, so repeating a scan over several lines costs every LP again.
-    Concurrent calls on one line may lose a bracket update, which costs an
-    LP and never changes an answer.  A failed LP is counted, with its
-    message in ``failure_statuses``, and not remembered.
+    simplex goes on from there.  A call on another line starts that line's
+    brackets afresh, so repeating a scan over several lines costs every LP
+    again.  When two or more trials need an LP, their LPs are shared out
+    over ``lp_threads()`` threads; each writes only its own trial's
+    bracket, so the record, ``lps`` included, is that of the serial loop.
+    Calls made concurrently on one line may lose a bracket update, which
+    costs an LP and never changes an answer.  A failed LP is counted, with
+    its message in ``failure_statuses`` (in trial order), and not
+    remembered.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     N = int(round(params.n * C))
     brackets = _brackets(N, C, params.eps, base_seed)
-    pi, feasible, lps, failed = params.pi, 0, 0, []
+    pi, feasible, unsettled = params.pi, 0, []
     for idx in range(trials):
         shut, open_, basis = brackets.get(idx, _UNKNOWN)
         if pi <= shut:
@@ -652,27 +744,41 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
         if pi > open_:
             feasible += 1
             continue
-        lps += 1
-        q, u, _ = economy_draws(params, C, base_seed + idx)
-        primary = u < pi
-        res = linprog(-np.ones(N), -q.T, np.where(primary, np.inf, 0.0),
-                      0.0, 1.0, basis)
-        if res.status != 0:
-            failed.append(res.message)
-            continue
-        # edges[j] is u_(j), with u_(0) = -inf and u_(C+1) = +inf
-        edges, m = np.r_[-np.inf, np.sort(u), np.inf], int(primary.sum())
-        # re-read: another thread on this line may have tightened it
-        shut, open_, _ = brackets.get(idx, _UNKNOWN)
-        if -res.fun > _OPEN_CONE:
-            feasible += 1
-            open_ = min(open_, edges[m])
-        else:
-            shut = max(shut, edges[m + 1])
-        brackets[idx] = (shut, open_, res.basis)
+        unsettled.append((idx, basis))
+    failed = []
+    if unsettled:       # a settled call builds nothing more
+        for res in _map(functools.partial(_cone_lp, params, C, base_seed,
+                                          brackets), unsettled):
+            if res.status != 0:
+                failed.append(res.message)
+            elif -res.fun > _OPEN_CONE:
+                feasible += 1
     return FeasibilityRecord(n=params.n, pi=pi, eps=params.eps, N=N,
-                             trials=trials, feasible_count=feasible, lps=lps,
-                             failure_statuses=tuple(failed))
+                             trials=trials, feasible_count=feasible,
+                             lps=len(unsettled), failure_statuses=tuple(failed))
+
+
+def _cone_lp(params: EnsembleParams, C: int, base_seed: int, brackets: dict,
+             trial: tuple) -> OptimizeResult:
+    """The cone LP of one (index, basis) trial at ``params.pi``, which
+    tightens that trial's bracket, and only that one, when it succeeds."""
+    idx, basis = trial
+    q, u, _ = economy_draws(params, C, base_seed + idx)
+    primary = u < params.pi
+    res = linprog(-np.ones(q.shape[0]), -q.T, np.where(primary, np.inf, 0.0),
+                  0.0, 1.0, basis)
+    if res.status != 0:
+        return res
+    # edges[j] is u_(j), with u_(0) = -inf and u_(C+1) = +inf
+    edges, m = np.r_[-np.inf, np.sort(u), np.inf], int(primary.sum())
+    # re-read: a concurrent call on this line may have tightened it
+    shut, open_, _ = brackets.get(idx, _UNKNOWN)
+    if -res.fun > _OPEN_CONE:
+        open_ = min(open_, edges[m])
+    else:
+        shut = max(shut, edges[m + 1])
+    brackets[idx] = (shut, open_, res.basis)
+    return res
 
 
 @dataclass(frozen=True)
@@ -721,7 +827,10 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     take its top eigenvalue with a dense symmetric eigensolver; the reported
     lambda_max averages over technology draws.  The LPs of one technology
     draw share q and differ only in x0, the objective and the cap, so each
-    starts from the optimal basis of the draw's last optimal LP.
+    starts from the optimal basis of the draw's last optimal LP.  The
+    technology draws are shared out over ``lp_threads()`` threads, and
+    lambda_max averages them in draw order, so its bits do not depend on
+    the thread count.
     Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
     An LP with a nonzero status adds no vertex and counts in
     ``lp_failures``, with its message in ``failure_statuses``.  A draw
@@ -730,33 +839,40 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
         raise DomainError("need at least two draws of each kind")
+    draws = _map(functools.partial(_vertex_cloud, params, C, n_objective_draws),
+                 [base_seed + 1000 * tech for tech in range(n_tech_draws)])
     lams, samples, failed = [], 0, []
-    for tech in range(n_tech_draws):
-        seed = base_seed + 1000 * tech
-        econ = sample_economy(params, C, seed)
-        N = econ.N
-        rng = np.random.default_rng(seed + 500)
-        # availability of every good, then the cap on total scale
-        a_ub = np.vstack([-econ.q.T, np.ones((1, econ.N))])
-        vertices, basis = [], None
-        for _ in range(n_objective_draws):
-            x0 = (rng.random(C) < params.pi).astype(float)
-            obj = np.abs(rng.standard_normal(econ.N))
-            obj /= np.linalg.norm(obj)
-            cap = max(float(x0.sum()), 1.0) / params.eps
-            res = linprog(-obj, a_ub, np.concatenate([x0, [cap]]), 0.0, np.inf,
-                          basis)
-            if res.status == 0:
-                vertices.append(res.x)
-                basis = res.basis
-            else:
-                failed.append(res.message)
-        verts = np.array(vertices)
+    for verts, messages in draws:
+        failed.extend(messages)
         if len(verts) < 2 or np.all(np.abs(verts) < 1e-12):
             continue
         lams.append(_top_eigenvalue(verts))
         samples += len(verts)
-    return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps, N=N, C=C,
-                          samples=samples,
+    return GeometryRecord(n=params.n, pi=params.pi, eps=params.eps,
+                          N=int(round(params.n * C)), C=C, samples=samples,
                           lambda_max=float(np.mean(lams)) if lams else math.nan,
                           collapsed=not lams, failure_statuses=tuple(failed))
+
+
+def _vertex_cloud(params: EnsembleParams, C: int, n_objective_draws: int,
+                  seed: int) -> tuple[np.ndarray, list]:
+    """The vertices of one technology draw of ``pca_probe``, one row per
+    optimal LP, and the messages of its LPs that ended without one."""
+    econ = sample_economy(params, C, seed)
+    rng = np.random.default_rng(seed + 500)
+    # availability of every good, then the cap on total scale
+    a_ub = np.vstack([-econ.q.T, np.ones((1, econ.N))])
+    vertices, failed, basis = [], [], None
+    for _ in range(n_objective_draws):
+        x0 = (rng.random(C) < params.pi).astype(float)
+        obj = np.abs(rng.standard_normal(econ.N))
+        obj /= np.linalg.norm(obj)
+        cap = max(float(x0.sum()), 1.0) / params.eps
+        res = linprog(-obj, a_ub, np.concatenate([x0, [cap]]), 0.0, np.inf,
+                      basis)
+        if res.status == 0:
+            vertices.append(res.x)
+            basis = res.basis
+        else:
+            failed.append(res.message)
+    return np.array(vertices), failed

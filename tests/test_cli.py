@@ -11,7 +11,7 @@ import scipy
 from randecon import critical, finite, replica
 from randecon.cli import (SOLUTION_COLUMNS, _fmt_cell, _solution_rows,
                           build_parser, main, parse_args)
-from randecon.ensemble import EnsembleParams
+from randecon.ensemble import EnsembleParams, economy_draws
 from randecon.errors import NoConvergenceError, NoRootError
 from randecon.finite import lp_feasibility_fraction
 from randecon.replica import SaddleSolution, sweep
@@ -284,7 +284,8 @@ class TestFiniteCommands:
         assert all(0.0 <= x <= 1.0 for x in fracs)
         # fraction grows with the primary share
         assert fracs == sorted(fracs)
-        # the pi grid runs in a thread pool; its rows are the serial records
+        # the pi grid runs point by point while each point shares its LPs
+        # out over the CPUs; its rows are the serial records
         params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
         want = []
         for pi in np.linspace(0.2, 0.6, 3):
@@ -296,6 +297,23 @@ class TestFiniteCommands:
         lps = [line for line in proc.stdout.splitlines()
                if line.startswith("# lps = ")]
         assert len(lps) == 1 and 1 <= int(lps[0].split("=")[1]) <= 15
+        assert f"# lp_threads = {finite.lp_threads()}" in proc.stdout.splitlines()
+
+    def test_descending_grid_is_solved_ascending(self):
+        # the points are solved in ascending pi and written in grid order,
+        # so a descending grid gives the reversed rows and the same LPs
+        def run(start, stop):
+            out = run_cli("lp-fraction", "--n", "1", "--eps", "0.1", "--C",
+                          "30", "--trials", "6", "--seed", "5", "--from",
+                          start, "--to", stop, "--points", "5").stdout
+            lps = [line for line in out.splitlines() if line.startswith("# lps")]
+            return data_rows(out), lps
+
+        # a step of 0.125 gives the same points both ways
+        (up_head, *up), up_lps = run("0.25", "0.75")
+        (down_head, *down), down_lps = run("0.75", "0.25")
+        assert down_head == up_head and down == up[::-1]
+        assert down_lps == up_lps
 
     def test_pca_probe(self):
         proc = run_cli("pca-probe", "--n", "1", "--pi", "0.6",
@@ -303,6 +321,7 @@ class TestFiniteCommands:
                        "--objective-draws", "4", "--seed", "0")
         rows = data_rows(proc.stdout)
         assert len(rows) == 2
+        assert f"# lp_threads = {finite.lp_threads()}" in proc.stdout.splitlines()
 
     @pytest.mark.parametrize("command, extra", (
         ("lp-fraction", ["--trials", "4"]),
@@ -318,13 +337,17 @@ class TestFiniteCommands:
         assert lines == ["# lp_failures = 0", "# lp_failure_statuses = none"]
 
     def test_lp_fraction_lp_failure_is_partial(self, monkeypatch, capsys):
-        # a line (seed) no other test scans, so every trial solves its LP
+        # a line (seed) no other test scans, so every trial solves its LP;
+        # trial 1's fails, told by its matrix -q^T because the threads
+        # solve the trials in no fixed order
         calls, original = [], finite.linprog
+        q = economy_draws(EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1), 40,
+                          9031 + 1)[0]
 
         def second_fails(*args):
             calls.append(1)
             res = original(*args)
-            if len(calls) == 2:
+            if np.array_equal(args[1], -q.T):
                 res.status, res.basis = 1, None
                 res.message = "Time limit reached"
             return res
@@ -353,14 +376,19 @@ class TestFiniteCommands:
         assert row[5:7] == ["3", "1"]          # instances, failures
 
     def test_pca_probe_lp_failure_is_partial(self, monkeypatch, capsys):
-        # one failed LP of 8 leaves a record that is not collapsed, but the
-        # run reports it and exits 1
+        # one failed LP of 8, the second of the first technology draw (the
+        # draws' LPs run in no fixed order, but those of one draw run in
+        # order), leaves a record that is not collapsed, but the run
+        # reports it and exits 1
         calls, original = [], finite.linprog
+        q = economy_draws(EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1), 25,
+                          0)[0]
 
         def second_fails(*args):
-            calls.append(1)
+            first_draw = np.array_equal(args[1][:-1], -q.T)
+            calls.append(first_draw)
             res = original(*args)
-            if len(calls) == 2:
+            if first_draw and calls.count(True) == 2:
                 res.status, res.basis, res.message = 4, None, "Unknown"
             return res
 

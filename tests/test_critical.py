@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -200,6 +202,57 @@ class TestHiddenMaximum:
     def test_no_well_is_still_no_root(self):
         with pytest.raises(NoRootError, match="no interior local maximum"):
             solve_critical_pi(1.0, 2.0)
+
+
+def whole_grid_maximum(points, n, eps):
+    """Oracle of ``critical._first_maximum``: the same rule on the whole
+    np.linspace grid at once."""
+    grid = np.linspace(-critical._XI_WINDOW, critical._XI_WINDOW, points)
+    vals = critical._ratio(grid, n, eps)
+    idx = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+    low = np.fmin.accumulate(vals)
+    tall = vals[idx] - low[idx - 1] > critical._RIPPLE * np.abs(vals[idx])
+    if not tall.any():
+        return None
+    best = int(idx[tall][0])
+    return grid[best - 1:best + 2]
+
+
+class TestBlockedScan:
+    """The xi grid is scanned in blocks of _BLOCK points."""
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 64, critical._BLOCK])
+    @pytest.mark.parametrize("n, eps", [(0.05, 0.01), (1.0, 0.1), (3.0, 1.0),
+                                        (50.0, 1.5), (1.0, 2.0)])
+    def test_blocks_find_the_whole_grid_maximum(self, monkeypatch, block,
+                                                n, eps):
+        # small blocks put maxima and running minima on block edges
+        monkeypatch.setattr(critical, "_BLOCK", block)
+        want = whole_grid_maximum(critical._SCANS[0], n, eps)
+        got = critical._first_maximum(critical._SCANS[0], n, eps)
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_fine_scan_is_the_whole_grid_scan(self):
+        # the maximum the coarse grid misses sits in the fine scan's 56th
+        # block
+        for n, eps in ((5.6234, 1.0), (7.0795, 0.9), (1.0, 2.0)):
+            got = critical._first_maximum(critical._SCANS[1], n, eps)
+            want = whole_grid_maximum(critical._SCANS[1], n, eps)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+    def test_fine_scan_holds_one_block(self):
+        # the whole fine grid took about 20 MB; one block takes a hundredth
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoRootError):
+                solve_critical_pi(1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestCriticalLineSweep:

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -74,6 +75,36 @@ def counted_lps(monkeypatch):
 
     monkeypatch.setattr(finite, "linprog", counting_linprog)
     return calls
+
+
+def draws_q(params, C, seeds):
+    """The technology matrix q of the economy of each seed."""
+    return [economy_draws(params, C, seed)[0] for seed in seeds]
+
+
+def draw_of(a_ub, qs):
+    """Index of the q whose -q^T heads ``a_ub``: the trial or technology
+    draw an LP belongs to, whichever thread solves it."""
+    return next(i for i, q in enumerate(qs)
+                if np.array_equal(a_ub[:q.shape[1]], -q.T))
+
+
+def fail_by_draw(params, C, n_tech_draws, fails):
+    """A ``finite.linprog`` for ``pca_probe`` at base seed 0 whose k-th LP
+    (from 0) of technology draw ``draw`` ends with status 4 when
+    ``fails(draw, k)``.  One thread solves all LPs of a draw, in order."""
+    qs = draws_q(params, C, [1000 * tech for tech in range(n_tech_draws)])
+    counts, original = [0] * n_tech_draws, finite.linprog
+
+    def linprog(*args):
+        res = original(*args)
+        draw = draw_of(args[1], qs)
+        counts[draw] += 1
+        if fails(draw, counts[draw] - 1):
+            res.status, res.basis, res.message = 4, None, "Unknown"
+        return res
+
+    return linprog
 
 
 class TestSolveEquilibrium:
@@ -812,25 +843,29 @@ class TestFeasibilityFraction:
         assert (rec.failures, rec.lps, rec.feasible_count) == (3, 3, 0)
 
     def test_failed_lps_are_counted_and_not_remembered(self, monkeypatch):
-        # a line no other test scans, so the first call solves every trial
+        # a line no other test scans, so the first call solves every trial;
+        # the LPs of trials 1 and 2 fail, told apart by their matrices
+        # because the threads solve them in no fixed order
         params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
         want = per_pi_feasibility(params, 40, 10, 9530)
-        calls, failed, original = [], [], finite.linprog
+        qs = draws_q(params, 40, [9530 + idx for idx in range(10)])
+        failed, original = {}, finite.linprog
 
         def some_fail(*args):
-            calls.append(1)
             res = original(*args)
-            if len(calls) in (2, 3):
-                failed.append(-res.fun > finite._OPEN_CONE)
+            trial = draw_of(args[1], qs)
+            if trial in (1, 2):
+                failed[trial] = -res.fun > finite._OPEN_CONE
                 res.status, res.basis = 4, None
             return res
 
         monkeypatch.setattr(finite, "linprog", some_fail)
         rec = lp_feasibility_fraction(params, C=40, trials=10, base_seed=9530)
         assert (rec.lps, rec.failures) == (10, 2)
-        assert failed == [True, False]          # one open cone, one shut
-        assert rec.feasible_count == want[0] - sum(failed)
+        assert [failed[1], failed[2]] == [True, False]   # one open cone, one shut
+        assert rec.feasible_count == want[0] - sum(failed.values())
         # no bracket was written for the failed trials: they solve again
+        monkeypatch.setattr(finite, "linprog", original)
         again = lp_feasibility_fraction(params, C=40, trials=10, base_seed=9530)
         assert (again.lps, again.failures) == (2, 0)
         assert again.feasible_count == want[0]
@@ -903,16 +938,8 @@ class TestPcaProbe:
         rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
                         base_seed=0)
         assert rec.samples == 2 * 6
-        calls, original = [], finite.linprog
-
-        def second_fails(*args):
-            calls.append(1)
-            res = original(*args)
-            if len(calls) == 2:
-                res.status = 4
-            return res
-
-        monkeypatch.setattr(finite, "linprog", second_fails)
+        monkeypatch.setattr(finite, "linprog", fail_by_draw(
+            params, 30, 2, lambda draw, k: (draw, k) == (0, 1)))
         rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
                         base_seed=0)
         assert rec.samples == 2 * 6 - 1
@@ -921,16 +948,17 @@ class TestPcaProbe:
         # every LP but each technology draw's first starts from a basis;
         # dropping the bases gives the same clouds
         params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
-        started, original = [], finite.linprog
+        qs = draws_q(params, 30, [0, 1000])
+        started, original = {0: [], 1: []}, finite.linprog
 
         def recording(*args):
-            started.append(args[5] is not None)
+            started[draw_of(args[1], qs)].append(args[5] is not None)
             return original(*args)
 
         monkeypatch.setattr(finite, "linprog", recording)
         warm = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
                          base_seed=0)
-        assert started == 2 * ([False] + 5 * [True])
+        assert started[0] + started[1] == 2 * ([False] + 5 * [True])
         monkeypatch.setattr(finite, "linprog",
                             lambda *args: original(*args[:5], None))
         cold = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
@@ -939,18 +967,12 @@ class TestPcaProbe:
         assert warm.lambda_max == pytest.approx(cold.lambda_max, rel=1e-9)
 
     def test_lp_failures_are_counted(self, monkeypatch):
-        # every third LP fails: 4 of 12, each costing its draw a vertex
+        # every third LP of each draw fails: 4 of 12, each costing its
+        # draw a vertex
         params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
-        calls, original = [], finite.linprog
-
-        def third_fails(*args):
-            calls.append(1)
-            res = original(*args)
-            if len(calls) % 3 == 0:
-                res.status, res.basis, res.message = 4, None, "Unknown"
-            return res
-
-        monkeypatch.setattr(finite, "linprog", third_fails)
+        calls = []
+        monkeypatch.setattr(finite, "linprog", fail_by_draw(
+            params, 30, 2, lambda draw, k: calls.append(1) or k % 3 == 2))
         rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
                         base_seed=0)
         assert len(calls) == 12
@@ -981,3 +1003,110 @@ class TestPcaProbe:
         with pytest.raises(DomainError):
             pca_probe(PARAMS, C=30, n_tech_draws=1, n_objective_draws=5,
                       base_seed=0)
+
+
+class TestLpThreads:
+    """The LPs of one call are shared out over ``finite.lp_threads()``
+    threads: the caller and the helper pool."""
+
+    @staticmethod
+    def scan_with_failures(monkeypatch, threads=None):
+        # an ascending scan on a fresh line whose trials 3 and 7 fail with
+        # their own messages, as records and the brackets it leaves, each
+        # basis as its column and row statuses, and a PCA probe; on
+        # ``threads`` threads (4 helpers at most, a pool of its own), or
+        # the default pool
+        params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
+        qs = draws_q(params, 30, [8700 + idx for idx in range(12)])
+        original = finite.linprog
+
+        def linprog(*args):
+            res = original(*args)
+            trial = draw_of(args[1], qs)
+            if trial in (3, 7):
+                res.status, res.basis, res.message = 4, None, f"trial {trial}"
+            return res
+
+        with monkeypatch.context() as patch, ThreadPoolExecutor(4) as pool:
+            if threads is not None:
+                patch.setattr(finite, "lp_threads", lambda: threads)
+                patch.setattr(finite, "_helper_pool", lambda: pool)
+            probe = pca_probe(params.with_(pi=0.6), C=30, n_tech_draws=4,
+                              n_objective_draws=5, base_seed=0)
+            patch.setattr(finite, "linprog", linprog)
+            finite._brackets.cache_clear()
+            recs = [lp_feasibility_fraction(params.with_(pi=float(pi)), 30, 12,
+                                            8700)
+                    for pi in np.linspace(0.05, 0.95, 10)]
+            brackets = {idx: (shut, open_, basis.col_status, basis.row_status)
+                        for idx, (shut, open_, basis)
+                        in finite._brackets(30, 30, 0.1, 8700).items()}
+        return recs, brackets, probe
+
+    @pytest.mark.parametrize("threads", [None, 5])
+    def test_helpers_give_the_serial_records(self, monkeypatch, threads):
+        # the default pool, and more threads than CPUs switching often
+        serial = self.scan_with_failures(monkeypatch, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.scan_with_failures(monkeypatch, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        recs = serial[0]
+        assert recs[0].failure_statuses == ("trial 3", "trial 7")
+        assert sum(r.lps for r in recs) < 12 * len(recs)
+        assert serial[2].lambda_max == threaded[2].lambda_max   # to the bit
+
+    def test_earliest_exception_is_raised(self, monkeypatch):
+        monkeypatch.setattr(finite, "lp_threads", lambda: 2)
+
+        def fn(item):
+            if item in (2, 5):
+                raise ValueError(f"item {item}")
+            return item
+
+        for _ in range(20):
+            with pytest.raises(ValueError, match="item 2"):
+                finite._map(fn, list(range(8)))
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(finite, "lp_threads", lambda: 2)
+        caller, helper_started = threading.get_ident(), threading.Event()
+
+        def fn(item):
+            if threading.get_ident() != caller:
+                helper_started.set()
+                raise ValueError(f"helper on item {item}")
+            # hold the caller on its item until a helper has taken one
+            assert helper_started.wait(timeout=60)
+            return item
+
+        with pytest.raises(ValueError, match="helper on item"):
+            finite._map(fn, [0, 1])
+
+    def test_busy_pool_does_not_hang_the_caller(self, monkeypatch):
+        monkeypatch.setattr(finite, "lp_threads", lambda: 2)
+        pool, release = finite._helper_pool(), threading.Event()
+        busy = [pool.submit(release.wait, 60) for _ in range(pool._max_workers)]
+        try:
+            assert finite._map(lambda x: 2 * x, list(range(5))) == [0, 2, 4, 6, 8]
+        finally:
+            release.set()
+        assert all(f.result(timeout=60) for f in busy)
+
+    def test_calls_without_two_lps_leave_the_pool_alone(self, monkeypatch):
+        # one LP runs on the calling thread, and a settled trial asks
+        # nothing of the pool, not even the CPU count
+        def untouchable(*args):
+            raise AssertionError("the pool was touched")
+
+        monkeypatch.setattr(finite, "lp_threads", untouchable)
+        monkeypatch.setattr(finite, "_helper_pool", untouchable)
+        monkeypatch.setattr(os, "cpu_count", untouchable)
+        params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
+        one = lp_feasibility_fraction(params, C=40, trials=1, base_seed=8800)
+        none = lp_feasibility_fraction(params, C=40, trials=1, base_seed=8800)
+        assert (one.lps, none.lps) == (1, 0)
+        assert none.feasible_count == one.feasible_count
