@@ -35,7 +35,7 @@ from . import __version__
 from .ensemble import EnsembleParams, intermediate_sweep_map
 from .errors import RandeconError
 from .critical import critical_line_sweep
-from .finite import (lp_feasibility_fraction, lp_threads,
+from .finite import (blas_threads, lp_feasibility_fraction, lp_threads,
                      monte_carlo_observables, pca_probe)
 from .observables import observable_set
 from .replica import solve_saddle, sweep
@@ -75,6 +75,7 @@ def _meta(args, command, unread=()):
     # provenance, then every setting the run read: all but those in unread
     items = {"command": command, "version": __version__,
              "numpy": np.__version__, "scipy": scipy.__version__,
+             "blas_threads": blas_threads(),
              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
              "wall_s": round(time.perf_counter() - args.started, 3)}
     skip = {"func", "config", "started", *unread}
@@ -272,6 +273,7 @@ def _cmd_validate(args):
     from .replica import _RULE, branch_switch_pi
 
     failures = []
+    print(f"# blas_threads = {blas_threads()}")
 
     def check(name, ok):
         print(f"{'ok  ' if ok else 'FAIL'} {name}")

@@ -21,14 +21,18 @@ Three numerical experiments on sampled economies:
   reproducible only at a fixed thread count.
 * ``lp_feasibility_fraction``: does the homogeneous cone
   {s >= 0 : (q^T s)_c >= 0 for non-primary c} contain more than the
-  origin?  A bounded LP answers per instance; the fraction over trials
-  estimates the probability, which drops from 1 to 0 across the
-  critical line.  At a fixed seed the primary sets are nested in pi, so
-  each trial's cone opens at one value of pi.  The module remembers, for
-  the most recent scan line only, a bracket on that value per trial and
-  the trial's last optimal basis.  It answers the trials the bracket
-  settles without an LP or a draw, and starts every other trial's LP
-  from that basis.
+  origin?  Per instance an LP looks for prices on the non-primary goods
+  under which every activity loses money (Farkas' lemma): it has none
+  exactly when the cone is open.  The fraction over trials estimates the
+  probability, which drops from 1 to 0 across the critical line.  At a
+  fixed seed the primary sets are nested in pi, so each trial's cone
+  opens at one value of pi.  The module remembers, for the most recent
+  scan line only, a bracket on that value per trial and the trial's last
+  optimal basis.  Prices that prove a cone shut prove it for every pi
+  until a priced good turns primary, so one LP usually settles a trial
+  up to that value.  The module answers the trials the bracket settles
+  without an LP or a draw, and starts every other trial's LP from that
+  basis.
 * ``pca_probe``: samples vertices of the full feasible polytope by
   maximizing random linear objectives, and measures the elongation of
   the sampled cloud by the top eigenvalue of its correlation matrix.
@@ -47,12 +51,14 @@ the other rows and columns 0/1), and equilibrating it only costs
 simplex iterations.  A call may start from the optimal basis of an
 earlier LP over a matrix of the same shape: restarting the simplex from
 a nearby optimal basis is the standard way to re-solve LPs that share a
-constraint matrix.  When the new LP relaxes the old one, as on an
-ascending scan line, that basis stays primal feasible and the primal
-simplex goes on from it; otherwise the dual simplex does.  The primal
-simplex can stall on a degenerate vertex, so an LP that ends without an
-optimum is solved again by the dual simplex from the slack basis.  An
-optimum counts only when it also passes the bound and row check of
+constraint matrix.  When the new LP relaxes the old one, that basis
+stays primal feasible and the primal simplex goes on from it; when it
+only tightens bounds, as on an ascending scan line of cone LPs, the
+dual simplex does.  An optimum, no feasible point and an unbounded
+objective are answers.  The simplex can stall on a degenerate vertex,
+so an LP that ends without an answer is solved again from the slack
+basis by the dual simplex and then, if need be, by the primal simplex.
+An optimum counts only when it also passes the bound and row check of
 ``scipy.optimize.linprog``, whose Python layer (option validation, a
 sparse copy of the matrix, a loop over the basis) would cost about a
 third of each LP.
@@ -151,10 +157,12 @@ def _lp_options(strategy) -> _highs.HighsOptions:
 #: share them
 _LP_OPTIONS = _lp_options(
     _highs.simplex_constants.SimplexStrategy.kSimplexStrategyChoose)
-#: the same with the dual simplex, for the one re-solve of an LP that
-#: ended without an optimum
+#: the same with the dual simplex, for the first re-solve of an LP that
+#: ended without an answer, and with the primal simplex for the second
 _DUAL_OPTIONS = _lp_options(
     _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_PRIMAL_OPTIONS = _lp_options(
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
 #: HiGHS's optimum must also satisfy the bounds and rows to this, as
 #: scipy.optimize.linprog checks (10 sqrt(tol) at its tol = 1e-9)
 _LP_TOL = 10.0 * math.sqrt(1e-9)
@@ -165,6 +173,9 @@ _LP_STATUS = {_highs.HighsModelStatus.kOptimal: 0,
               _highs.HighsModelStatus.kTimeLimit: 1,
               _highs.HighsModelStatus.kInfeasible: 2,
               _highs.HighsModelStatus.kUnbounded: 3}
+#: the statuses that answer the LP: an optimum, no feasible point, no
+#: bounded optimum; any other status asks for a re-solve
+_LP_ANSWERS = (0, 2, 3)
 
 
 def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
@@ -181,15 +192,16 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
     result over a matrix of the same shape, starts the simplex there
     instead of at the slack basis; restarted from the optimal basis of a
     nearby LP over the same matrix, the simplex needs far fewer
-    iterations.  An LP that ends without a valid optimum is solved once
-    more, by the dual simplex from the slack basis, and that result
-    stands.  Returns ``x``, ``fun``, ``status``, ``message`` and
+    iterations.  Returns ``x``, ``fun``, ``status``, ``message`` and
     ``basis`` with ``scipy.optimize.linprog``'s status codes.  ``status``
     is 0 only when HiGHS reports an optimum and ``x`` is finite and within
     the bounds and rows to 10 sqrt(1e-9), the check ``linprog`` makes, so
-    a NaN in the data gives a nonzero status, never 0.  ``x`` and ``fun``
-    are None when HiGHS reports no optimum, and ``basis`` is None unless
-    ``status`` is 0.
+    a NaN in the data gives a nonzero status, never 0.  Statuses 0, 2
+    (infeasible) and 3 (unbounded) answer the LP.  An LP that ends with
+    any other status is solved again from the slack basis, by the dual
+    simplex and, if that too gives no answer, by the primal simplex; the
+    last result stands.  ``x`` and ``fun`` are None when HiGHS reports no
+    optimum, and ``basis`` is None unless ``status`` is 0.
     """
     m, n = a_ub.shape
     # HiGHS reads n costs and bounds and m row bounds from the pointers
@@ -201,12 +213,15 @@ def linprog(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
                           f"rows for a_ub of shape {a_ub.shape}")
     lower, upper = np.full(n, lower, dtype=float), np.full(n, upper, dtype=float)
     res = _highs_solve(_LP_OPTIONS, c, a_ub, b_ub, lower, upper, basis)
-    if res.status != 0:
-        # HiGHS's primal simplex can end on a degenerate vertex where
-        # every basis change it tries is refused (model status "Unknown";
-        # about 1 in 1,200 cold cone LPs at C = 30); the dual simplex from
-        # the slack basis is the fallback
-        res = _highs_solve(_DUAL_OPTIONS, c, a_ub, b_ub, lower, upper, None)
+    # HiGHS's simplex can end without an answer (model status "Unknown"
+    # or "Solve error"): 3 of the 3,692 cone LPs of the 14
+    # feasible_fraction_*.conf lines.  The dual simplex from the slack
+    # basis answers one; it stalls on the other two, infeasible LPs that
+    # the primal simplex then proves infeasible
+    for options in (_DUAL_OPTIONS, _PRIMAL_OPTIONS):
+        if res.status in _LP_ANSWERS:
+            break
+        res = _highs_solve(options, c, a_ub, b_ub, lower, upper, None)
     return res
 
 
@@ -258,6 +273,37 @@ def lp_threads() -> int:
     ``lp_feasibility_fraction`` call: the calling thread and one helper
     per further CPU."""
     return os.cpu_count() or 1
+
+
+def blas_threads() -> int | str:
+    """Threads of the OpenBLAS that scipy bundles, which runs this module's
+    dgemm, dpotrf and dpotrs, or "unknown" where none is found."""
+    get = _openblas_get_num_threads()
+    return "unknown" if get is None else get()
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """``*_get_num_threads`` of the OpenBLAS in scipy's bundled libraries
+    (``scipy.libs``, beside the package), or None.  Loading the file
+    again gives the copy scipy has loaded, not a second one."""
+    import ctypes
+    import glob
+    import scipy
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                        "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get
+    return None
 
 
 @functools.cache
@@ -682,8 +728,9 @@ class FeasibilityRecord:
         return self.feasible_count / self.trials
 
 
-#: a trial's cone is open when its LP optimum sum_i s_i exceeds this
-_OPEN_CONE = 1e-6
+#: the price of good c costs exp(20 (1 - u_c)) in the cone LP's objective,
+#: which steers the prices onto the goods that turn primary last
+_PRICE_WEIGHT = 20.0
 #: the bracket of a trial no LP of the line has answered yet
 _UNKNOWN = (-math.inf, math.inf, None)
 
@@ -692,7 +739,9 @@ _UNKNOWN = (-math.inf, math.inf, None)
 def _brackets(N: int, C: int, eps: float, base_seed: int) -> dict:
     """The cone brackets of one scan line, {trial index: (largest pi known
     shut, pi above which the cone is known open, optimal basis of the
-    trial's last LP)}; the cache keeps one line."""
+    trial's last shut LP)}; the cache keeps one line.  A shut LP's prices
+    settle every pi up to the smallest uniform of a priced good, an open
+    LP every pi above the largest primary uniform."""
     return {}
 
 
@@ -700,37 +749,50 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
                             base_seed: int) -> FeasibilityRecord:
     """Fraction of instances whose homogeneous cone is nontrivial.
 
-    Per trial: maximize sum_i s_i subject to (q^T s)_c >= 0 for every
-    non-primary good c and 0 <= s_i <= 1.  The origin is always
-    admissible, so the LP never fails for feasibility reasons; the trial
-    counts as feasible when the optimum exceeds 1e-6 (``_OPEN_CONE``).
-    The LP keeps a row for every good, with upper bound +inf on a
-    primary good's row, so all LPs of one trial share the matrix -q^T.
+    The cone {s >= 0 : (q^T s)_c >= 0 for every non-primary good c} is
+    {0} exactly when prices y >= 0 on the non-primary goods make every
+    activity lose money, q y < 0 (Farkas' lemma, in Gordan's form;
+    Schrijver, *Theory of Linear and Integer Programming*, 1986).  So per
+    trial the LP
+
+        min sum_c w_c y_c  subject to  q y <= -1,
+                           0 <= y_c <= (0 if c is primary, else +inf)
+
+    decides it: no feasible point (status 2) means the cone is open, an
+    optimum means it is shut.  A shut answer counts only when y+, the
+    optimum clipped to its bounds, passes q y+ < 0 in floating point, so
+    it proves the cone shut.  The bounds change with pi and the matrix q
+    does not, so all LPs of one trial share it.
 
     ``economy_draws`` gives q and the endowment uniforms u without reading
     pi or f, and good c is primary when u_c < pi.  So along one scan line
     (fixed N, C, eps and base seed) a trial's primary set grows with pi,
     its cone only widens, and the cone opens at a single primary count.
-    With u_(j) the j-th smallest uniform, an LP that says shut at m
-    primary goods settles every pi <= u_(m+1) as shut, and one that says
-    open settles every pi > u_(m) as open.  The module keeps, for the most
+    With u_(m) the largest uniform of the m primary goods, an open answer
+    settles every pi > u_(m) as open.  Prices y+ that prove the cone shut
+    stay a proof for every pi up to min{u_c : y+_c > 0}, where every
+    priced good is still non-primary, so a shut answer settles all of
+    those pi.  The weights w_c = exp(20 (1 - u_c)) make the goods that
+    turn primary last the cheapest to price, so one shut LP usually
+    settles its trial up to the pi where the cone opens, and a trial
+    costs about two LPs on any pi grid.  The module keeps, for the most
     recent line only, a bracket per trial: the largest pi settled shut,
     the smallest pi above which it is settled open, and the optimal basis
-    of the trial's last LP.  A trial whose bracket settles pi needs
+    of the trial's last shut LP.  A trial whose bracket settles pi needs
     neither an LP nor a draw; any other trial solves the LP from that
     basis and tightens its bracket.  So a call never solves more LPs than
     trials, and every answer is an LP's or follows from one by
-    monotonicity.  On an ascending scan each LP of a trial relaxes the one
-    before, so the old optimal basis is primal feasible and HiGHS's primal
-    simplex goes on from there.  A call on another line starts that line's
-    brackets afresh, so repeating a scan over several lines costs every LP
-    again.  When two or more trials need an LP, their LPs are shared out
-    over ``lp_threads()`` threads; each writes only its own trial's
-    bracket, so the record, ``lps`` included, is that of the serial loop.
-    Calls made concurrently on one line may lose a bracket update, which
-    costs an LP and never changes an answer.  A failed LP is counted, with
-    its message in ``failure_statuses`` (in trial order), and not
-    remembered.
+    monotonicity.  A later LP of a trial fixes more prices at 0 than the
+    one before, so its old optimal basis stays dual feasible and HiGHS's
+    dual simplex goes on from there.  A call on another line starts that
+    line's brackets afresh, so repeating a scan over several lines costs
+    every LP again.  When two or more trials need an LP, their LPs are
+    shared out over ``lp_threads()`` threads; each writes only its own
+    trial's bracket, so the record, ``lps`` included, is that of the
+    serial loop.  Calls made concurrently on one line may lose a bracket
+    update, which costs an LP and never changes an answer.  A failed LP,
+    or prices that fail the q y+ < 0 check, is counted, with its message
+    in ``failure_statuses`` (in trial order), and not remembered.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -747,11 +809,11 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
         unsettled.append((idx, basis))
     failed = []
     if unsettled:       # a settled call builds nothing more
-        for res in _map(functools.partial(_cone_lp, params, C, base_seed,
-                                          brackets), unsettled):
-            if res.status != 0:
-                failed.append(res.message)
-            elif -res.fun > _OPEN_CONE:
+        for verdict in _map(functools.partial(_cone_lp, params, C, base_seed,
+                                              brackets), unsettled):
+            if isinstance(verdict, str):
+                failed.append(verdict)
+            elif verdict:
                 feasible += 1
     return FeasibilityRecord(n=params.n, pi=pi, eps=params.eps, N=N,
                              trials=trials, feasible_count=feasible,
@@ -759,26 +821,31 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
 
 
 def _cone_lp(params: EnsembleParams, C: int, base_seed: int, brackets: dict,
-             trial: tuple) -> OptimizeResult:
-    """The cone LP of one (index, basis) trial at ``params.pi``, which
-    tightens that trial's bracket, and only that one, when it succeeds."""
+             trial: tuple) -> bool | str:
+    """Whether the cone of one (index, basis) trial is open at
+    ``params.pi``, or the message of its failed LP.  An answer tightens
+    that trial's bracket, and only that one."""
     idx, basis = trial
     q, u, _ = economy_draws(params, C, base_seed + idx)
     primary = u < params.pi
-    res = linprog(-np.ones(q.shape[0]), -q.T, np.where(primary, np.inf, 0.0),
-                  0.0, 1.0, basis)
+    upper = np.where(primary, 0.0, np.inf)
+    res = linprog(np.exp(_PRICE_WEIGHT * (1.0 - u)), q,
+                  np.full(q.shape[0], -1.0), 0.0, upper, basis)
+    # read after the LP: a concurrent call on this line may have tightened it
+    shut, open_, last_basis = brackets.get(idx, _UNKNOWN)
+    if res.status == 2:         # no prices: open above the primary uniforms
+        open_ = min(open_, u[primary].max(initial=-math.inf))
+        brackets[idx] = (shut, open_, last_basis)
+        return True
     if res.status != 0:
-        return res
-    # edges[j] is u_(j), with u_(0) = -inf and u_(C+1) = +inf
-    edges, m = np.r_[-np.inf, np.sort(u), np.inf], int(primary.sum())
-    # re-read: a concurrent call on this line may have tightened it
-    shut, open_, _ = brackets.get(idx, _UNKNOWN)
-    if -res.fun > _OPEN_CONE:
-        open_ = min(open_, edges[m])
-    else:
-        shut = max(shut, edges[m + 1])
+        return res.message
+    prices = np.clip(res.x, 0.0, upper)
+    if not (q @ prices).max(initial=-math.inf) < 0.0:
+        return "prices that fail q y < 0"
+    # shut until a priced good turns primary
+    shut = max(shut, u[prices > 0.0].min(initial=math.inf))
     brackets[idx] = (shut, open_, res.basis)
-    return res
+    return False
 
 
 @dataclass(frozen=True)
@@ -818,16 +885,21 @@ def _top_eigenvalue(verts: np.ndarray) -> float:
 
 def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
               n_objective_draws: int, base_seed: int) -> GeometryRecord:
-    """Elongation of the feasible polytope via sampled vertices.
+    """Elongation of feasible polytopes via sampled vertices.
 
-    For each technology draw, maximize ``n_objective_draws`` random
-    nonnegative unit objectives over the full feasible set (endowments
-    included, total scale capped by primary-count/eps), form the
-    coordinate correlation matrix of the resulting vertex cloud, and
-    take its top eigenvalue with a dense symmetric eigensolver; the reported
-    lambda_max averages over technology draws.  The LPs of one technology
-    draw share q and differ only in x0, the objective and the cap, so each
-    starts from the optimal basis of the draw's last optimal LP.  The
+    For each technology draw q, maximize ``n_objective_draws`` random
+    nonnegative unit objectives, each over a feasible set of its own:
+    every objective draw also redraws the endowments x0 (each good
+    primary with probability pi) and with them the cap on total scale,
+    primary-count/eps.  So one cloud holds vertices of polytopes with
+    different primary sets, not of one polytope, and that mixing, not the
+    shape of any one polytope, makes lambda_max rise towards the
+    transition.  Form the coordinate correlation matrix of the vertex
+    cloud and take its top eigenvalue with a dense symmetric eigensolver;
+    the reported lambda_max averages over technology draws.  The LPs of
+    one technology draw share q and differ only in x0, the objective and
+    the cap, so each starts from the optimal basis of the draw's last
+    optimal LP.  The
     technology draws are shared out over ``lp_threads()`` threads, and
     lambda_max averages them in draw order, so its bits do not depend on
     the thread count.

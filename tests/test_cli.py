@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -338,7 +339,7 @@ class TestFiniteCommands:
 
     def test_lp_fraction_lp_failure_is_partial(self, monkeypatch, capsys):
         # a line (seed) no other test scans, so every trial solves its LP;
-        # trial 1's fails, told by its matrix -q^T because the threads
+        # trial 1's fails, told by its matrix q because the threads
         # solve the trials in no fixed order
         calls, original = [], finite.linprog
         q = economy_draws(EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1), 40,
@@ -347,7 +348,7 @@ class TestFiniteCommands:
         def second_fails(*args):
             calls.append(1)
             res = original(*args)
-            if np.array_equal(args[1], -q.T):
+            if np.array_equal(args[1], q):
                 res.status, res.basis = 1, None
                 res.message = "Time limit reached"
             return res
@@ -417,6 +418,31 @@ class TestValidate:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestBlasThreads:
+    """Every command names the thread count of scipy's OpenBLAS, on which
+    results at N >= 200 depend."""
+
+    def test_metadata_line_follows_the_environment(self):
+        want = "1" if finite.blas_threads() != "unknown" else "unknown"
+        proc = subprocess.run(CLI + ["critical-line", "--from", "1"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        assert f"# blas_threads = {want}" in proc.stdout.splitlines()
+
+    def test_every_command_writes_it(self, capsys):
+        line = f"# blas_threads = {finite.blas_threads()}"
+        for argv in (["saddle"], ["critical-line", "--from", "1"],
+                     ["sweep", "--var", "pi", "--from", "0.6", "--to", "0.7",
+                      "--points", "2"],
+                     ["finite", "--C", "10", "--instances", "2"],
+                     ["lp-fraction", "--C", "10", "--trials", "2"],
+                     ["pca-probe", "--C", "10", "--tech-draws", "2",
+                      "--objective-draws", "2"], ["validate"]):
+            main(argv)
+            assert line in capsys.readouterr().out.splitlines(), argv
 
 
 class TestPlumbing:

@@ -83,10 +83,12 @@ def draws_q(params, C, seeds):
 
 
 def draw_of(a_ub, qs):
-    """Index of the q whose -q^T heads ``a_ub``: the trial or technology
-    draw an LP belongs to, whichever thread solves it."""
+    """Index of the q an LP belongs to, whichever thread solves it: the
+    trial of a cone LP, whose matrix is q, or the technology draw of a
+    PCA LP, whose matrix -q^T heads ``a_ub``."""
     return next(i for i, q in enumerate(qs)
-                if np.array_equal(a_ub[:q.shape[1]], -q.T))
+                if np.array_equal(a_ub, q)
+                or np.array_equal(a_ub[:q.shape[1]], -q.T))
 
 
 def fail_by_draw(params, C, n_tech_draws, fails):
@@ -270,18 +272,24 @@ class TestSolveEquilibrium:
 
 
 def cone_lp(q, primary):
-    """The cone LP of ``lp_feasibility_fraction``: a row for every good,
-    without bound (+inf) on a primary good's row."""
+    """The primal cone LP, max sum_i s_i over the cone with 0 <= s <= 1: a
+    row for every good, without bound (+inf) on a primary good's row."""
     return (-np.ones(q.shape[0]), -q.T, np.where(primary, np.inf, 0.0),
             0.0, 1.0)
 
 
+def price_lp(q, u, primary):
+    """The cone LP of ``lp_feasibility_fraction``: min sum_c w_c y_c over
+    q y <= -1, with y_c >= 0 and fixed at 0 on a primary good."""
+    return (np.exp(finite._PRICE_WEIGHT * (1.0 - u)), q,
+            np.full(q.shape[0], -1.0), 0.0, np.where(primary, 0.0, np.inf))
+
+
 def lp_shapes(econ, rng):
     """LPs of ``finite`` on one economy, each as (c, a_ub, b_ub, lower,
-    upper): the cone with only the non-primary rows (no rows when every
-    good is primary), the cone with all C rows that
-    ``lp_feasibility_fraction`` solves, phase one with its free t column,
-    and a PCA LP with its cap row."""
+    upper): the primal cone LP with only the non-primary rows (no rows
+    when every good is primary) and with all C rows, phase one with its
+    free t column, and a PCA LP with its cap row."""
     non_primary = econ.x0 == 0
     cap = econ.x0.sum() / econ.eps + 1.0
     obj = np.abs(rng.standard_normal(econ.N))
@@ -312,9 +320,11 @@ def scipy_lp(c, a_ub, b_ub, lower, upper):
                    method="highs-ds")
 
 
+#: a primal cone LP says open when its optimum sum_i s_i exceeds this
+OPEN_CONE = 1e-6
 #: the decision each LP shape feeds: an open cone, an empty interior
-DECISIONS = {"cone": lambda res: -res.fun > finite._OPEN_CONE,
-             "full_cone": lambda res: -res.fun > finite._OPEN_CONE,
+DECISIONS = {"cone": lambda res: -res.fun > OPEN_CONE,
+             "full_cone": lambda res: -res.fun > OPEN_CONE,
              "phase_one": lambda res: res.x[-1] <= 1e-7,
              "pca": lambda res: None}
 
@@ -352,12 +362,21 @@ class TestLinprog:
         assert got.fun == want.fun == -econ.N
         np.testing.assert_array_equal(got.x, np.ones(econ.N))
 
-    def test_infeasible_is_not_optimal(self):
-        # x1 + x2 <= -1 has no point with x >= 0
+    def test_infeasible_is_not_optimal(self, monkeypatch):
+        # x1 + x2 <= -1 has no point with x >= 0; that is an answer, which
+        # is not solved again
+        runs, original = [], finite._highs_solve
+
+        def counting(options, *lp):
+            runs.append(options)
+            return original(options, *lp)
+
+        monkeypatch.setattr(finite, "_highs_solve", counting)
         lp = (np.ones(2), np.array([[1.0, 1.0]]), np.array([-1.0]), 0.0, 1.0)
         got, want = finite.linprog(*lp), scipy_lp(*lp)
         assert got.status == want.status == 2
         assert got.x is None and got.basis is None
+        assert runs == [finite._LP_OPTIONS]
 
     @pytest.mark.parametrize("c, b_ub", [(np.ones(3), np.ones(2)),
                                          (np.ones(2), np.ones(1))])
@@ -435,6 +454,53 @@ class TestLinprog:
         got = finite.linprog(c, a_ub, b_ub, lower, upper, basis)
         assert got.status == 0
         assert runs == [(finite._LP_OPTIONS, basis), (finite._DUAL_OPTIONS, None)]
+
+    def test_twice_failed_solve_is_retried_by_primal_simplex(self,
+                                                             monkeypatch):
+        runs, original = [], finite._highs_solve
+
+        def two_fail(options, *lp):
+            runs.append((options, lp[-1]))
+            res = original(options, *lp)
+            if len(runs) < 3:
+                res.status, res.x, res.basis = 4, None, None
+            return res
+
+        econ = sample_economy(PARAMS, C=20, seed=5)
+        c, a_ub, b_ub, lower, upper = lp_shapes(
+            econ, np.random.default_rng(5))["pca"]
+        basis = finite.linprog(c, a_ub, b_ub, lower, upper).basis
+        monkeypatch.setattr(finite, "_highs_solve", two_fail)
+        got = finite.linprog(c, a_ub, b_ub, lower, upper, basis)
+        assert got.status == 0
+        assert runs == [(finite._LP_OPTIONS, basis), (finite._DUAL_OPTIONS, None),
+                        (finite._PRIMAL_OPTIONS, None)]
+
+    def test_infeasible_price_lp_matches_scipy(self):
+        # every good primary: every price is fixed at 0, so q y <= -1 has
+        # no point and the cone is open
+        q, u, _ = economy_draws(PARAMS, 30, 7)
+        lp = price_lp(q, u, u < 1.0)
+        got, want = finite.linprog(*lp), scipy_lp(*lp)
+        assert got.status == want.status == 2
+        assert got.x is None and got.basis is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(C=st.integers(10, 40), n=st.floats(0.5, 3.0),
+           pi=st.floats(0.0, 1.0), eps=st.sampled_from((0.1, 0.01, 0.001)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_price_lp_matches_scipy(self, C, n, pi, eps, seed):
+        # infeasible exactly when the primal cone LP says open, with
+        # scipy's optimum when it is feasible
+        q, u, _ = economy_draws(EnsembleParams(n=n, pi=0.5, f=0.5, eps=eps),
+                                C, seed)
+        lp = price_lp(q, u, u < pi)
+        got, want = finite.linprog(*lp), scipy_lp(*lp)
+        assert got.status == want.status in (0, 2)
+        assert (got.status == 2) == DECISIONS["full_cone"](
+            finite.linprog(*cone_lp(q, u < pi)))
+        if got.status == 0:
+            assert got.fun == pytest.approx(want.fun, rel=1e-6)
 
     def test_unusable_basis_raises(self):
         econ = sample_economy(PARAMS, C=20, seed=5)
@@ -775,8 +841,8 @@ class TestFeasibilityFraction:
 
     def test_serial_scan_solves_the_lps_it_did_before(self, monkeypatch):
         # up a grid, then down its midpoints on a line no other test
-        # scans; the per-call LP counts are those of the bracket on
-        # primary counts that the pi bracket replaced, measured with it
+        # scans; the per-call LP counts of the price LPs' brackets,
+        # measured with them
         params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
         up = np.linspace(0.02, 0.80, 14)
         pis = np.r_[up, (up[1:] + up[:-1])[::-1] / 2]
@@ -789,13 +855,14 @@ class TestFeasibilityFraction:
         monkeypatch.setattr(finite, "linprog", recording)
         recs = [lp_feasibility_fraction(params.with_(pi=float(pi)), 40, 12, 8100)
                 for pi in pis]
-        assert [r.lps for r in recs] == [12, 12, 10, 9, 10, 9, 8, 5, 4, 1, 1,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 2,
+        assert [r.lps for r in recs] == [12, 1, 1, 0, 3, 4, 3, 4, 3, 1, 1,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2,
                                          0, 0, 1, 0]
         assert [r.feasible_count for r in recs] == [
             0, 0, 1, 1, 2, 4, 6, 8, 11, 11, 12, 12, 12, 12, 12, 12, 12, 11,
             11, 9, 6, 6, 2, 1, 1, 1, 0]
-        # every LP after a trial's first starts from its last optimal basis
+        # every LP after a trial's first starts from the optimal basis of
+        # its last shut LP
         assert warm.count(False) == 12 and len(warm) == sum(r.lps for r in recs)
 
     def test_repeated_scan_starts_cold(self):
@@ -844,7 +911,7 @@ class TestFeasibilityFraction:
 
     def test_failed_lps_are_counted_and_not_remembered(self, monkeypatch):
         # a line no other test scans, so the first call solves every trial;
-        # the LPs of trials 1 and 2 fail, told apart by their matrices
+        # the LPs of trials 1 and 2 fail, told apart by their matrices q
         # because the threads solve them in no fixed order
         params = EnsembleParams(n=1.0, pi=0.4, f=0.5, eps=0.1)
         want = per_pi_feasibility(params, 40, 10, 9530)
@@ -855,8 +922,8 @@ class TestFeasibilityFraction:
             res = original(*args)
             trial = draw_of(args[1], qs)
             if trial in (1, 2):
-                failed[trial] = -res.fun > finite._OPEN_CONE
-                res.status, res.basis = 4, None
+                failed[trial] = res.status == 2     # no prices: an open cone
+                res.status, res.x, res.basis = 4, None, None
             return res
 
         monkeypatch.setattr(finite, "linprog", some_fail)
@@ -869,6 +936,47 @@ class TestFeasibilityFraction:
         again = lp_feasibility_fraction(params, C=40, trials=10, base_seed=9530)
         assert (again.lps, again.failures) == (2, 0)
         assert again.feasible_count == want[0]
+
+    def test_prices_that_fail_the_check_are_counted_and_not_remembered(
+            self, monkeypatch):
+        # every optimum comes back as y = 0, under which no activity loses
+        # money: the shut trials fail and solve again, the open ones stand
+        params = EnsembleParams(n=1.0, pi=0.3, f=0.5, eps=0.1)
+        feasible, _ = per_pi_feasibility(params, 40, 8, 9570)
+        original = finite.linprog
+
+        def no_prices(*args):
+            res = original(*args)
+            if res.status == 0:
+                res.x = np.zeros_like(res.x)
+            return res
+
+        monkeypatch.setattr(finite, "linprog", no_prices)
+        rec = lp_feasibility_fraction(params, C=40, trials=8, base_seed=9570)
+        shut = 8 - feasible
+        assert 0 < shut < 8
+        assert rec.failure_statuses == ("prices that fail q y < 0",) * shut
+        assert (rec.lps, rec.feasible_count) == (8, feasible)
+        monkeypatch.setattr(finite, "linprog", original)
+        again = lp_feasibility_fraction(params, C=40, trials=8, base_seed=9570)
+        assert (again.lps, again.failures, again.feasible_count) == (
+            shut, 0, feasible)
+
+    def test_one_shut_lp_settles_beyond_the_next_uniform(self, counted_lps):
+        # the prices of a shut cone stay a proof until a priced good turns
+        # primary, past u_(m+1), where a bracket on primary counts ended
+        params = EnsembleParams(n=1.0, pi=0.1, f=0.5, eps=0.1)
+        first = lp_feasibility_fraction(params, C=40, trials=1, base_seed=9580)
+        assert (first.lps, first.feasible_count) == (1, 0)
+        u = np.sort(economy_draws(params, 40, 9580)[1])
+        next_uniform = u[u >= params.pi][0]
+        shut, _, _ = finite._brackets(40, 40, 0.1, 9580)[0]
+        assert shut > next_uniform
+        later = params.with_(pi=float((next_uniform + shut) / 2))
+        rec = lp_feasibility_fraction(later, C=40, trials=1, base_seed=9580)
+        assert (rec.lps, rec.feasible_count) == (0, 0)
+        assert len(counted_lps) == 1
+        assert per_pi_feasibility(later, 40, 1, 9580) == (0, 0)
 
     def test_pi_one(self):
         rec = lp_feasibility_fraction(PARAMS.with_(pi=1.0), C=30, trials=10,
@@ -1013,7 +1121,8 @@ class TestLpThreads:
     def scan_with_failures(monkeypatch, threads=None):
         # an ascending scan on a fresh line whose trials 3 and 7 fail with
         # their own messages, as records and the brackets it leaves, each
-        # basis as its column and row statuses, and a PCA probe; on
+        # basis as its column and row statuses (None for a trial whose
+        # every LP said open), and a PCA probe; on
         # ``threads`` threads (4 helpers at most, a pool of its own), or
         # the default pool
         params = EnsembleParams(n=1.0, pi=0.5, f=0.5, eps=0.1)
@@ -1038,7 +1147,8 @@ class TestLpThreads:
             recs = [lp_feasibility_fraction(params.with_(pi=float(pi)), 30, 12,
                                             8700)
                     for pi in np.linspace(0.05, 0.95, 10)]
-            brackets = {idx: (shut, open_, basis.col_status, basis.row_status)
+            brackets = {idx: (shut, open_, basis and (basis.col_status,
+                                                      basis.row_status))
                         for idx, (shut, open_, basis)
                         in finite._brackets(30, 30, 0.1, 8700).items()}
         return recs, brackets, probe
