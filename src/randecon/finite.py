@@ -68,18 +68,18 @@ unsettled trials of ``lp_feasibility_fraction`` and the chains of the
 technology draws of ``pca_probe``, are shared out between the calling
 thread and a process-wide pool of ``os.cpu_count() - 1`` helper threads
 (``lp_threads`` counts both).  HiGHS releases the GIL while it solves,
-so they run on every CPU.  Each LP reads and writes only its own trial's
-bracket, and the results are combined in input order, so a call returns
-the same record to the bit at any thread count.  The threads cost
-memory: each helper gets its own malloc arena, which holds HiGHS's
-working memory.  So the pool is created on first use and kept for the
-life of the process, and after each shared-out call glibc's
-``malloc_trim`` hands the arenas' free pages back, which the arenas
-would otherwise keep (about 2.7 MB at N = C = 100).  On the ``lp-scan``
-benchmark at 2 CPUs the peak RSS is then 2.7 % above the serial loop's,
-against 4.1 % without the trim.  A call that needs fewer than two LPs,
-and the phase-one LP of ``solve_equilibrium``, runs on the calling
-thread alone.
+so they run on every CPU.  Helpers return answers, and the calling
+thread writes the line's memory in trial order and combines the results
+in input order, so a call returns the same record to the bit at any
+thread count.  The threads cost memory: each helper gets its own malloc
+arena, which holds HiGHS's working memory.  So the pool is created on
+first use and kept for the life of the process, and after each
+shared-out call glibc's ``malloc_trim`` hands the arenas' free pages
+back, which the arenas would otherwise keep (about 2.7 MB at N = C =
+100).  On the ``lp-scan`` benchmark at 2 CPUs the peak RSS is then 2.7 %
+above the serial loop's, against 4.1 % without the trim.  A call that
+needs fewer than two LPs, and the phase-one LP of ``solve_equilibrium``,
+runs on the calling thread alone.
 """
 from __future__ import annotations
 
@@ -741,7 +741,8 @@ def _brackets(N: int, C: int, eps: float, base_seed: int) -> dict:
     shut, pi above which the cone is known open, optimal basis of the
     trial's last shut LP)}; the cache keeps one line.  A shut LP's prices
     settle every pi up to the smallest uniform of a priced good, an open
-    LP every pi above the largest primary uniform."""
+    LP every pi above the largest primary uniform.  LP helpers return
+    answers; the scan's calling thread writes them here in trial order."""
     return {}
 
 
@@ -787,12 +788,13 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     dual simplex goes on from there.  A call on another line starts that
     line's brackets afresh, so repeating a scan over several lines costs
     every LP again.  When two or more trials need an LP, their LPs are
-    shared out over ``lp_threads()`` threads; each writes only its own
-    trial's bracket, so the record, ``lps`` included, is that of the
-    serial loop.  Calls made concurrently on one line may lose a bracket
-    update, which costs an LP and never changes an answer.  A failed LP,
-    or prices that fail the q y+ < 0 check, is counted, with its message
-    in ``failure_statuses`` (in trial order), and not remembered.
+    shared out over ``lp_threads()`` threads.  Helpers return answers,
+    and the calling thread writes the line's memory in trial order, so
+    the record, ``lps`` included, is that of the serial loop.  Calls made
+    concurrently on one line may lose a bracket update, which costs an LP
+    and never changes an answer.  A failed LP, or prices that fail the
+    q y+ < 0 check, is counted, with its message in ``failure_statuses``
+    (in trial order), and not remembered.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -800,52 +802,50 @@ def lp_feasibility_fraction(params: EnsembleParams, C: int, trials: int,
     brackets = _brackets(N, C, params.eps, base_seed)
     pi, feasible, unsettled = params.pi, 0, []
     for idx in range(trials):
-        shut, open_, basis = brackets.get(idx, _UNKNOWN)
+        bracket = shut, open_, _ = brackets.get(idx, _UNKNOWN)
         if pi <= shut:
             continue
         if pi > open_:
             feasible += 1
             continue
-        unsettled.append((idx, basis))
+        unsettled.append((idx, bracket))
     failed = []
     if unsettled:       # a settled call builds nothing more
-        for verdict in _map(functools.partial(_cone_lp, params, C, base_seed,
-                                              brackets), unsettled):
-            if isinstance(verdict, str):
-                failed.append(verdict)
-            elif verdict:
-                feasible += 1
+        answers = _map(functools.partial(_cone_lp, params, C, base_seed),
+                       unsettled)
+        for (idx, _), (answer, bracket) in zip(unsettled, answers):
+            if isinstance(answer, str):
+                failed.append(answer)
+            else:
+                brackets[idx] = bracket
+                feasible += answer
     return FeasibilityRecord(n=params.n, pi=pi, eps=params.eps, N=N,
                              trials=trials, feasible_count=feasible,
                              lps=len(unsettled), failure_statuses=tuple(failed))
 
 
-def _cone_lp(params: EnsembleParams, C: int, base_seed: int, brackets: dict,
-             trial: tuple) -> bool | str:
-    """Whether the cone of one (index, basis) trial is open at
-    ``params.pi``, or the message of its failed LP.  An answer tightens
-    that trial's bracket, and only that one."""
-    idx, basis = trial
+def _cone_lp(params: EnsembleParams, C: int, base_seed: int,
+             trial: tuple) -> tuple[bool | str, tuple]:
+    """Whether the cone of one (index, (shut, open, basis)) trial is open
+    at ``params.pi``, in (shut, open], or its failed LP's message, and the
+    trial's new bracket (the old one after a failure), inside the old one:
+    an open answer's bound is below pi, a shut one's at least pi."""
+    idx, bracket = trial
+    shut, open_, basis = bracket
     q, u, _ = economy_draws(params, C, base_seed + idx)
     primary = u < params.pi
     upper = np.where(primary, 0.0, np.inf)
     res = linprog(np.exp(_PRICE_WEIGHT * (1.0 - u)), q,
                   np.full(q.shape[0], -1.0), 0.0, upper, basis)
-    # read after the LP: a concurrent call on this line may have tightened it
-    shut, open_, last_basis = brackets.get(idx, _UNKNOWN)
     if res.status == 2:         # no prices: open above the primary uniforms
-        open_ = min(open_, u[primary].max(initial=-math.inf))
-        brackets[idx] = (shut, open_, last_basis)
-        return True
+        return True, (shut, u[primary].max(initial=-math.inf), basis)
     if res.status != 0:
-        return res.message
+        return res.message, bracket
     prices = np.clip(res.x, 0.0, upper)
     if not (q @ prices).max(initial=-math.inf) < 0.0:
-        return "prices that fail q y < 0"
+        return "prices that fail q y < 0", bracket
     # shut until a priced good turns primary
-    shut = max(shut, u[prices > 0.0].min(initial=math.inf))
-    brackets[idx] = (shut, open_, res.basis)
-    return False
+    return False, (u[prices > 0.0].min(initial=math.inf), open_, res.basis)
 
 
 @dataclass(frozen=True)
@@ -899,14 +899,13 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     the reported lambda_max averages over technology draws.  The LPs of
     one technology draw share q and differ only in x0, the objective and
     the cap, so each starts from the optimal basis of the draw's last
-    optimal LP.  The
-    technology draws are shared out over ``lp_threads()`` threads, and
-    lambda_max averages them in draw order, so its bits do not depend on
-    the thread count.
-    Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
-    An LP with a nonzero status adds no vertex and counts in
-    ``lp_failures``, with its message in ``failure_statuses``.  A draw
-    whose vertices are all at the origin is degenerate; if every draw is degenerate the probe reports NaN with the
+    optimal LP.  The technology draws are shared out over ``lp_threads()``
+    threads, and lambda_max averages them in draw order, so its bits do
+    not depend on the thread count.  Zero-variance coordinates enter as
+    uncorrelated unit-diagonal rows.  An LP with a nonzero status adds no
+    vertex and counts in ``lp_failures``, with its message in
+    ``failure_statuses``.  A draw whose vertices are all at the origin is
+    degenerate; if every draw is degenerate the probe reports NaN with the
     collapsed flag set.
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
