@@ -11,7 +11,11 @@ measure  Dt = (2π)^(-1/2) exp(-t²/2) dt.  Two evaluation routes exist:
 
   for everything with a clamp or a truncation: non-final goods, the
   production scales and the phase boundary.  half_moments returns all
-  three of a shift from one erfc and one density evaluation;
+  three of a shift, or of an array of shifts, from one erfc and one
+  density evaluation; half_moment_lists does the same for a short list
+  of shifts on Python floats, which is cheaper than numpy below a few
+  elements.  The two write the formulas once each, in the same operation
+  order, so they give the same bits (the tests pin them together);
 
 * quadrature against a :class:`QuadratureRule`, standardized
   Gauss-Hermite, for the final-good averages, which have no closed form
@@ -30,7 +34,7 @@ from scipy.special import erfc
 
 from .errors import DomainError
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def std_normal_pdf(x):
@@ -48,11 +52,33 @@ def erfc_half(x):
 
 
 def half_moments(x):
-    """The half-Gaussian moments (I_0, I_1, I_2) of the shift x in one pass."""
+    """The half-Gaussian moments (I_0, I_1, I_2) of the shift x in one pass:
+    Python floats for a scalar x (from half_moment_lists), arrays for an
+    array."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return tuple(m[0] for m in half_moment_lists([float(x)]))
     i0, pdf = erfc_half(x / -math.sqrt(2.0)), std_normal_pdf(x)
-    out = (i0, x * i0 + pdf, (1.0 + x * x) * i0 + x * pdf)
-    return tuple(map(float, out)) if x.ndim == 0 else out
+    return i0, x * i0 + pdf, (1.0 + x * x) * i0 + x * pdf
+
+
+def half_moment_lists(shifts):
+    """(I_0, I_1, I_2) of a short sequence of shifts, as three lists.
+
+    One erfc and one exp call on the whole list; everything else is
+    elementwise arithmetic on Python floats in half_moments' operation
+    order, so each element has the bits of half_moments on that shift.
+    """
+    r = -math.sqrt(2.0)
+    tails = erfc(np.array([x / r for x in shifts])).tolist()
+    bells = np.exp(np.array([-0.5 * x * x for x in shifts])).tolist()
+    i0, i1, i2 = [], [], []
+    for x, tail, bell in zip(shifts, tails, bells):
+        c, pdf = 0.5 * tail, bell / SQRT_2PI
+        i0.append(c)
+        i1.append(x * c + pdf)
+        i2.append((1.0 + x * x) * c + x * pdf)
+    return i0, i1, i2
 
 
 def gauss_moment_I(order, x):

@@ -15,17 +15,29 @@ goods average in closed form; final goods on the Gauss-Hermite rule
 _RULE, for the M averages here and for the observables; final_good_field
 alone forms g on its nodes, free of cancellation on each side of a = 0.
 Every residual below takes its M averages and scale-law moments from one
-pass of _moments, with a single half_moments call on the shifts of both.
+pass of _moments, with a single half_moment_lists call on the shifts of
+both.
 
-The final-good quadrature, half of a residual's cost, reads only (kappa,
-n Omega, chi) and the rule, so _final_moments memoises its moments for
-the last 16 such points.  Three of the six forward-difference columns of
-each Jacobian step ell, gamma or delta (a fourth, pi, in the bordered
-solves) and find them there.  The memo is exact: a hit returns the
-read-only array the miss computed, and _moments weighs it by the
-endowment classes as before, so every residual keeps its bits.  The rule
-is in the key, by identity, because a rule swapped into _RULE must never
-be served another rule's moments.
+A residual works on 3-element shift vectors, 6-element coordinates and
+the 2 x 120 final-good field, so most of its cost is the fixed cost of
+numpy calls, not arithmetic.  The kernel therefore carries its scalars as
+Python floats (to_u, _regular, and half_moment_lists for the I_n of the
+three shifts), builds the field in place, and leaves to numpy only the
+ufuncs (erfc, exp, the field's elementwise steps) and the @ products with
+the endowment weights, whose bits a written-out sum does not keep.  An
+elementwise IEEE operation gives the same bits on a float as in numpy,
+so every residual has the bits of the same formulas evaluated on numpy
+arrays (tests/test_kernel_bits.py keeps that form as the oracle).
+
+The final-good quadrature, about half of a residual's cost when it runs,
+reads only (kappa, n Omega, chi) and the rule, so _final_moments memoises
+its moments for the last 16 such points.  Three of the six
+forward-difference columns of each Jacobian step ell, gamma or delta (a
+fourth, pi, in the bordered solves) and find them there.  The memo is
+exact: a hit returns the read-only array the miss computed, and _moments
+weighs it by the endowment classes as before, so every residual keeps its
+bits.  The rule is in the key, by identity, because a rule swapped into
+_RULE must never be served another rule's moments.
 
 Both branches are solved as one regular system in
 (Omega, kappa, ell, gamma, delta, chi) with ell = p chi, gamma = sigma chi
@@ -64,7 +76,7 @@ from scipy import optimize
 from . import critical
 from .ensemble import EnsembleParams
 from .errors import DomainError, NoConvergenceError, NoRootError
-from .gaussian import gauss_hermite_rule, half_moments
+from .gaussian import gauss_hermite_rule, half_moment_lists, half_moments
 
 #: the quadrature rule of every final-good average over t, read at call
 #: time (tests swap it to check the resolution)
@@ -103,6 +115,12 @@ class SaddleSolution:
     path: str
 
 
+def _sqrt(x):
+    """sqrt(x): a Python float where x > 0, else a numpy scalar, so that
+    dividing by it gives inf or NaN (n Omega = 0), not an error."""
+    return math.sqrt(x) if x > 0 else np.sqrt(x)
+
+
 def psi_exploited(x0: float, kappa: float, n_omega: float) -> float:
     """Probability that a non-final good with endowment x0 is fully exploited."""
     return half_moments((kappa - x0) / np.sqrt(n_omega))[0]
@@ -119,11 +137,21 @@ def final_good_field(kappa: float, n_omega: float, chi: float, rule=None):
     Readers take x* = a + g where a > 0 and chi/g elsewhere (x* g = chi).
     For chi < 0 the radicand is cut at zero, which keeps the field finite
     for a solver that steps across chi = 0.
+
+    root is built in one buffer, g is set to (root - a)/2 and overwritten
+    by 2 chi/(root + a) where a > 0, so no value of the branch not taken is
+    computed; elementwise the operations are those of the two-branch form.
     """
     rule = _RULE if rule is None else rule
-    a = np.array([[0.0 - kappa], [1.0 - kappa]]) - np.sqrt(n_omega) * rule.nodes
-    root = np.sqrt(np.maximum(a * a + 4.0 * chi, 0.0))
-    return rule, a, np.where(a > 0, 2.0 * chi / (root + a), 0.5 * (root - a))
+    a = np.subtract.outer([0.0 - kappa, 1.0 - kappa], _sqrt(n_omega) * rule.nodes)
+    root = a * a
+    root += 4.0 * chi
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    g = root - a
+    g *= 0.5
+    root += a
+    np.divide(2.0 * chi, root, out=g, where=a > 0)
+    return rule, a, g
 
 
 @functools.lru_cache(maxsize=16)
@@ -155,15 +183,15 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
     s*.  Non-final goods (weight 1-f) take the closed-form clamp moments,
     final goods (weight f) quadratures over t of g = chi u'(x*) and of g t
     and g^2; at chi = 0 g is the clamp gap, so they close as well.  The
-    scalars are Python floats; each endowment average stays a 3x2 @ weights
-    product, whose bits a written-out sum does not keep.
+    shifts and the half moments (half_moment_lists) are Python floats, and
+    so is sqrt(n Omega) unless n Omega <= 0 (_sqrt); each endowment average
+    stays a 3x2 @ weights product, whose bits a written-out sum does not
+    keep.
     """
     p, sigma, chi_hat = scale
     n_omega = n * omega
-    # a numpy scalar: where n Omega underflows to 0, x / w gives inf, not an error
-    w = np.sqrt(n_omega)
-    i0, i1, i2 = (m.tolist() for m in half_moments(
-        np.array([kappa / w, (kappa - 1.0) / w, -p * eps / sigma])))
+    w = _sqrt(n_omega)
+    i0, i1, i2 = half_moment_lists([kappa / w, (kappa - 1.0) / w, -p * eps / sigma])
     weights = np.array([1.0 - pi, pi])
     m = (np.array([[w * i1[0], w * i1[1]], [w * i0[0], w * i0[1]],
                    [n_omega * i2[0], n_omega * i2[1]]]) @ weights).tolist()
@@ -175,12 +203,13 @@ def _moments(omega, kappa, chi, scale, n, pi, f, eps):
 
 
 def _regular(u, n, pi, f, eps):
-    omega, kappa, ell, gamma, delta, chi = u.tolist()
+    """regular_residual at u, a sequence of six floats, unchecked."""
+    omega, kappa, ell, gamma, delta, chi = u
     m1, mt, m2, phi, s1, s2 = _moments(omega, kappa, chi, (ell, gamma, delta),
                                        n, pi, f, eps)
     return np.array([
         ell - m1,
-        delta - mt / np.sqrt(n * omega),
+        delta - mt / _sqrt(n * omega),
         gamma - math.sqrt(max(m2 - ell * ell, 0.0)),
         omega - s2,
         kappa - ell - n * eps * s1,
@@ -205,12 +234,12 @@ def regular_residual(u, params: EnsembleParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if min(u[0], u[3], u[4]) <= 0:
         raise DomainError("regular_residual requires Omega, gamma, delta > 0")
-    return _regular(u, params.n, params.pi, params.f, params.eps)
+    return _regular(u.tolist(), params.n, params.pi, params.f, params.eps)
 
 
-def _regular_coords(op: OrderParams) -> np.ndarray:
-    return np.array([op.Omega, op.kappa, op.p * op.chi, op.sigma * op.chi,
-                     op.chi_hat * op.chi, op.chi])
+def _regular_coords(op: OrderParams) -> list:
+    return [op.Omega, op.kappa, op.p * op.chi, op.sigma * op.chi,
+            op.chi_hat * op.chi, op.chi]
 
 
 def _original(r, chi, chi_hat):
@@ -238,14 +267,15 @@ def rescaled_residual(u, params: EnsembleParams) -> np.ndarray:
     u = np.append(np.asarray(u, dtype=float), 0.0)
     if min(u[0], u[3], u[4]) <= 0:
         raise DomainError("rescaled_residual requires Omega, gamma, delta > 0")
-    return _regular(u, params.n, params.pi, params.f, params.eps)[:5]
+    return _regular(u.tolist(), params.n, params.pi, params.f, params.eps)[:5]
 
 
 # -- solver -------------------------------------------------------------------
 
 #: solver coordinates: log Omega, eps kappa, eps ell, log gamma, log delta,
 #: eps chi.  chi, kappa and ell grow like 1/eps past the peak of <s*>,
-#: while Omega, gamma and delta stay O(1) and positive.
+#: while Omega, gamma and delta stay O(1) and positive.  _Search.to_u
+#: unpacks the same positions.
 _LOG = np.array([True, False, False, True, True, False])
 
 #: the cold starts have Omega = gamma = delta = 1 and kappa = ell = chi
@@ -284,9 +314,17 @@ class _Search:
         self.evals = 0
 
     def to_u(self, z):
-        u = np.array(z, dtype=float)
-        u[_LOG] = np.exp(np.minimum(np.maximum(u[_LOG], -700.0), 700.0))
-        return u / self.scale
+        """The regular coordinates of the solver point z, as a list of
+        Python floats for _regular.  The three log coordinates are cut at
+        +-700 (NaN stays NaN) and exponentiated by one np.exp call; the
+        other three are divided by eps.  Their scale in to_z is 1 and
+        eps, so this inverts it with the bits of a division by self.scale.
+        """
+        lo, k, ell, lg, ld, chi = np.asarray(z, dtype=float).tolist()
+        omega, gamma, delta = np.exp(
+            [min(max(v, -700.0), 700.0) for v in (lo, lg, ld)]).tolist()
+        eps = self.params.eps
+        return [omega, k / eps, ell / eps, gamma, delta, chi / eps]
 
     def to_z(self, u):
         z = np.asarray(u, dtype=float) * self.scale
@@ -314,7 +352,7 @@ class _Search:
         """(z, op, norm) for a root with chi > 0, <s*> > 0 and the norm of
         hybr's residual there, as in saddle_residual, <= _TOL; or None."""
         z, r = self._root(lambda z: self.residual(z, n, pi), z0)
-        omega, kappa, ell, gamma, delta, chi = self.to_u(z).tolist()
+        omega, kappa, ell, gamma, delta, chi = self.to_u(z)
         if not chi > 0:
             return None
         chi_hat = delta / chi
@@ -335,7 +373,8 @@ class _Search:
         n = self.params.n
 
         def fun(w):
-            return self.residual(np.append(w[:5], zchi), n, w[5])
+            *u, pi = w.tolist()
+            return self.residual(u + [zchi], n, pi)
 
         w, r = self._root(fun, np.append(z0[:5], pi0))
         accept = _TOL if chi > 0 else np.sqrt(_TOL)
