@@ -71,15 +71,20 @@ thread and a process-wide pool of ``os.cpu_count() - 1`` helper threads
 so they run on every CPU.  Helpers return answers, and the calling
 thread writes the line's memory in trial order and combines the results
 in input order, so a call returns the same record to the bit at any
-thread count.  The threads cost memory: each helper gets its own malloc
-arena, which holds HiGHS's working memory.  So the pool is created on
-first use and kept for the life of the process, and after each
-shared-out call glibc's ``malloc_trim`` hands the arenas' free pages
-back, which the arenas would otherwise keep (about 2.7 MB at N = C =
-100).  On the ``lp-scan`` benchmark at 2 CPUs the peak RSS is then 2.7 %
-above the serial loop's, against 4.1 % without the trim.  A call that
-needs fewer than two LPs, and the phase-one LP of ``solve_equilibrium``,
-runs on the calling thread alone.
+thread count.  These threads fill every CPU, so the LP layer makes no
+threaded BLAS or LAPACK call: after one, a worker of numpy's OpenBLAS
+busy-waits for about 0.13 s on a CPU that a helper needs.  So
+``pca_probe`` takes lambda_max from the SVD of each k x N vertex cloud,
+not from the eigenvalues of its N x N correlation matrix.  The threads
+cost memory: each helper gets its own malloc arena, which holds HiGHS's
+working memory.  So the pool is created on first use and kept for the
+life of the process, and after each shared-out call glibc's
+``malloc_trim`` hands the arenas' free pages back, which the arenas
+would otherwise keep (about 2.7 MB at N = C = 100).  On the ``lp-scan``
+benchmark at 2 CPUs the peak RSS is then 2.7 % above the serial loop's,
+against 4.1 % without the trim.  A call that needs fewer than two LPs,
+and the phase-one LP of ``solve_equilibrium``, runs on the calling
+thread alone.
 """
 from __future__ import annotations
 
@@ -875,12 +880,25 @@ def _top_eigenvalue(verts: np.ndarray) -> float:
     """Top eigenvalue of the coordinate correlation matrix of a vertex cloud.
 
     Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
+    Let Z be the k x live cloud of the other coordinates, each centred and
+    scaled to unit norm: their correlation block is Z^T Z, which has the
+    nonzero spectrum of Z Z^T, so its top eigenvalue is sigma_max(Z)^2.
+    That block has trace live and rank at most live, so its top
+    eigenvalue is at least 1, and the dead coordinates' unit rows never
+    set the answer.  The SVD of the k x live cloud costs O(k^2 live)
+    against O(N^3) for the N x N eigenproblem, and it leaves numpy's
+    OpenBLAS worker all but idle (at most 0.2 ms of its CPU per call at
+    N = 100 and k up to 60), where each N x N eigensolve woke it to
+    busy-wait for about 0.13 s on a CPU that an LP helper needs.  With
+    fewer than two live coordinates the matrix is the identity.
     """
     live = verts.std(axis=0) > 1e-12
-    corr = np.eye(verts.shape[1])
-    if live.sum() >= 2:
-        corr[np.ix_(live, live)] = np.corrcoef(verts[:, live], rowvar=False)
-    return float(np.linalg.eigvalsh(corr)[-1])
+    if live.sum() < 2:
+        return 1.0
+    z = verts[:, live]
+    z = z - z.mean(axis=0)
+    z /= np.linalg.norm(z, axis=0)
+    return float(np.linalg.svd(z, compute_uv=False)[0] ** 2)
 
 
 def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
@@ -894,19 +912,20 @@ def pca_probe(params: EnsembleParams, C: int, n_tech_draws: int,
     primary-count/eps.  So one cloud holds vertices of polytopes with
     different primary sets, not of one polytope, and that mixing, not the
     shape of any one polytope, makes lambda_max rise towards the
-    transition.  Form the coordinate correlation matrix of the vertex
-    cloud and take its top eigenvalue with a dense symmetric eigensolver;
-    the reported lambda_max averages over technology draws.  The LPs of
-    one technology draw share q and differ only in x0, the objective and
-    the cap, so each starts from the optimal basis of the draw's last
-    optimal LP.  The technology draws are shared out over ``lp_threads()``
-    threads, and lambda_max averages them in draw order, so its bits do
-    not depend on the thread count.  Zero-variance coordinates enter as
-    uncorrelated unit-diagonal rows.  An LP with a nonzero status adds no
-    vertex and counts in ``lp_failures``, with its message in
-    ``failure_statuses``.  A draw whose vertices are all at the origin is
-    degenerate; if every draw is degenerate the probe reports NaN with the
-    collapsed flag set.
+    transition.  lambda_max is the top eigenvalue of the coordinate
+    correlation matrix of the vertex cloud, taken as the top squared
+    singular value of the standardized cloud (``_top_eigenvalue``), so no
+    N x N eigenproblem is solved; the reported lambda_max averages over
+    technology draws.  The LPs of one technology draw share q and differ
+    only in x0, the objective and the cap, so each starts from the
+    optimal basis of the draw's last optimal LP.  The technology draws
+    are shared out over ``lp_threads()`` threads, and lambda_max averages
+    them in draw order, so its bits do not depend on the thread count.
+    Zero-variance coordinates enter as uncorrelated unit-diagonal rows.
+    An LP with a nonzero status adds no vertex and counts in
+    ``lp_failures``, with its message in ``failure_statuses``.  A draw
+    whose vertices are all at the origin is degenerate; if every draw is
+    degenerate the probe reports NaN with the collapsed flag set.
     """
     if n_tech_draws < 2 or n_objective_draws < 2:
         raise DomainError("need at least two draws of each kind")

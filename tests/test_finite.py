@@ -1055,7 +1055,58 @@ class TestFeasibilityFraction:
             lp_feasibility_fraction(PARAMS, C=30, trials=0, base_seed=0)
 
 
-class TestPowerIteration:
+def correlation_top_eigenvalue(verts):
+    """lambda_max by the N x N route: the correlation matrix from
+    ``np.corrcoef`` with a unit diagonal for the zero-variance
+    coordinates, then every eigenvalue of it."""
+    live = verts.std(axis=0) > 1e-12
+    corr = np.eye(verts.shape[1])
+    if live.sum() >= 2:
+        corr[np.ix_(live, live)] = np.corrcoef(verts[:, live], rowvar=False)
+    return float(np.linalg.eigvalsh(corr)[-1])
+
+
+def random_cloud(rng, k, N):
+    """k vertices in N coordinates: a quarter of them constant (zeros or
+    one repeated value), a few colinear with each other, the rest
+    correlated Gaussians, so the live block has rank at most k."""
+    verts = rng.standard_normal((k, N)) @ rng.standard_normal((N, N))
+    verts[:, :N // 8] = 0.0
+    verts[:, N // 8:N // 4] = rng.random(N // 4 - N // 8)
+    verts[:, N // 4:N // 4 + 5] = np.outer(rng.random(k), rng.random(5) + 0.5)
+    return verts
+
+
+class TestTopEigenvalue:
+    @pytest.mark.parametrize("N", [30, 100])
+    @pytest.mark.parametrize("k", [2, 3, 5, 25, 60])
+    def test_matches_the_correlation_matrix_route(self, k, N):
+        rng = np.random.default_rng(1000 * k + N)
+        for _ in range(5):
+            verts = random_cloud(rng, k, N)
+            want = correlation_top_eigenvalue(verts)
+            assert _top_eigenvalue(verts) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("live", [0, 1])
+    def test_fewer_than_two_live_coordinates(self, live):
+        verts = np.zeros((6, 30))
+        verts[:, :live] = np.arange(6.0)[:, None]
+        assert correlation_top_eigenvalue(verts) == 1.0
+        assert _top_eigenvalue(verts) == 1.0
+
+    def test_solves_no_n_by_n_eigenproblem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an N x N eigenproblem was solved")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        verts = random_cloud(np.random.default_rng(3), 25, 100)
+        assert _top_eigenvalue(verts) >= 1.0
+        params = EnsembleParams(n=1.0, pi=0.6, f=0.5, eps=0.1)
+        rec = pca_probe(params, C=30, n_tech_draws=2, n_objective_draws=6,
+                        base_seed=0)
+        assert not rec.collapsed and rec.lambda_max >= 1.0
+
     def test_matches_dense_eigensolver(self):
         # lambda_max of the correlation matrix is the top squared singular
         # value of the standardized vertex cloud over the sample count
